@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bergman import d_alpha_beta_eval, d_alpha_beta_terms
-from .berezin import _berezin_value, invariant_integral
+from .berezin import _berezin_values, invariant_integral
 from .errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
 from .measures import (
     CircleRadialDerivative,
@@ -322,8 +322,8 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
     ensure_trace_class(symbol)
     radial = is_radial(symbol.base) and symbol.alpha == symbol.beta
 
-    def sampler(z: complex) -> complex:
-        return _berezin_value(symbol, z, tol / 10.0)[0]
+    def sampler(z: np.ndarray) -> np.ndarray:
+        return _berezin_values(symbol, z, tol / 10.0)[0]
 
     result = invariant_integral(sampler, radial_hint=radial, tol=tol)
     budget = _sampler_error_budget(symbol.base, symbol.alpha, symbol.beta, tol / 10.0)

@@ -6,9 +6,11 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from bergtoep.berezin import (
+    _berezin_values,
     _radial_power_S,
     berezin_matrix,
     berezin_series,
@@ -233,3 +235,81 @@ def test_boundary_guards():
         berezin_matrix(assemble(SymbolSpec(0, 0, PointMass(0.0)), 8), 1.0 - 1e-9)
     with pytest.raises(BoundaryError):
         weighted_berezin_radial((0.0, 0.0), 0, 1.0 - 1e-9)
+
+
+# every atom kind, a combination, alpha != beta, z = 0, and points on both
+# sides of the series/hypergeometric handover at |z|^2 = 0.81, some sharing
+# a radius so that one diagonal sum serves several points
+_BATCH_SYMBOLS = [
+    SymbolSpec(1, 1, RadialPower(s=4.0)),
+    SymbolSpec(2, 1, RadialPower(s=5.5, a=0.5)),
+    SymbolSpec(1, 0, PointMass(0.4 + 0.1j)),
+    SymbolSpec(2, 1, CircleUniform(0.6)),
+    SymbolSpec(0, 0, CircleRadialDerivative(0.5)),
+    SymbolSpec(
+        1,
+        2,
+        Combination(
+            ((1.0, RadialPower(s=4.0)), (0.5j, PointMass(0.3 - 0.2j)), (2.0, CircleUniform(0.3)))
+        ),
+    ),
+]
+_BATCH_POINTS = np.array(
+    [0.0, 0.3, -0.3, 0.3j, -0.5 + 0.2j, 0.899j, 0.9, 0.901, -0.7 - 0.6j, 0.6 + 0.7j, 0.95, 0.999j]
+)
+
+
+@pytest.mark.parametrize("symbol", _BATCH_SYMBOLS)
+def test_array_sampler_matches_one_point_calls_bitwise(symbol):
+    values, errors = _berezin_values(symbol, _BATCH_POINTS, 1e-10)
+    assert values.shape == errors.shape == _BATCH_POINTS.shape
+    for k, z in enumerate(_BATCH_POINTS):
+        one_value, one_error = _berezin_values(symbol, _BATCH_POINTS[k : k + 1], 1e-10)
+        assert one_value.tobytes() == values[k : k + 1].tobytes()
+        assert one_error.tobytes() == errors[k : k + 1].tobytes()
+        sample = berezin_series(symbol, z, tol=1e-10)
+        assert sample.value == values[k] and sample.est_error == errors[k]
+    grid, grid_errors = _berezin_values(symbol, _BATCH_POINTS.reshape(3, 4), 1e-10)
+    assert grid.tobytes() == values.tobytes() and grid_errors.tobytes() == errors.tobytes()
+
+
+class _RecordingSampler:
+    """Records every batch handed to the sampler."""
+
+    def __init__(self, f):
+        self.f = f
+        self.batches = []
+
+    def __call__(self, z):
+        self.batches.append(z)
+        return self.f(z)
+
+
+def test_invariant_integral_radial_hint_samples_one_panel_per_call():
+    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2)
+    r = invariant_integral(sampler, True, 1e-8)
+    assert r.value.real == pytest.approx(1.0, abs=1e-8)
+    assert len(sampler.batches) >= 4
+    for z in sampler.batches:
+        assert isinstance(z, np.ndarray) and z.shape == (24,)
+        assert np.all(z.imag == 0.0)
+
+
+def test_invariant_integral_angular_nodes_are_reused_across_doublings():
+    # a trigonometric polynomial of degree below 64 averages exactly on the
+    # first 64 nodes, so every radius stops at its first doubling
+    def f(z):
+        w = 1 - abs(z) ** 2
+        return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
+
+    sampler = _RecordingSampler(f)
+    r = invariant_integral(sampler, False, 1e-8)
+    oracle = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10), True, 1e-8)
+    assert abs(r.value - oracle.value) <= 1e-13
+    points_per_radius: dict[float, int] = {}
+    for z in sampler.batches:
+        assert isinstance(z, np.ndarray) and z.ndim == 2 and z.shape[0] <= 24
+        for row in z:
+            radius = float(np.round(abs(row[0]), 14))
+            points_per_radius[radius] = points_per_radius.get(radius, 0) + row.size
+    assert set(points_per_radius.values()) == {128}

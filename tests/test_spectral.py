@@ -3,6 +3,8 @@ and the Carleson bound probe."""
 
 from __future__ import annotations
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -165,6 +167,19 @@ def test_trace_berezin_radial_power_matches_telescoping_oracle():
 def test_trace_berezin_gate():
     with pytest.raises(NotTraceClassError):
         trace_berezin(SymbolSpec(1, 1, RadialPower(s=2.0)))
+
+
+def test_trace_report_bit_identical_across_runs():
+    # the graded non-radial symbol exercises angular batches of both atoms
+    symbol = SymbolSpec(
+        1,
+        1,
+        Combination(((1.0, CircleUniform(0.3)), (0.3, PointMass(cmath.rect(0.3, 0.7))))),
+    )
+    first = trace_report(symbol, dim=256)
+    second = trace_report(symbol, dim=256)
+    assert first.agree
+    assert repr(dataclasses.astuple(first)) == repr(dataclasses.astuple(second))
 
 
 def test_trace_report_routes_agree():
