@@ -28,16 +28,14 @@ from typing import Callable
 
 import numpy as np
 
+from typing import TYPE_CHECKING
+
 from .errors import BoundaryError, NumericalFailureError
-from .measures import (
-    CircleRadialDerivative,
-    Combination,
-    PointMass,
-    RadialPower,
-    SymbolSpec,
-)
 from .numutil import CompensatedSum, beta_integral, gauss_legendre, int_factorial
-from .operators import TruncatedOperator
+
+if TYPE_CHECKING:
+    from .measures import SymbolSpec
+    from .operators import TruncatedOperator
 
 __all__ = [
     "BerezinSample",
@@ -256,6 +254,20 @@ def _circle_derivative_values(r0: float, t: np.ndarray, tol: float):
     return -scale * series, scale * tail
 
 
+def _prefactor(alpha: int, beta: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(-1)^(a+b) (a+1)! (b+1)! conj(z)^a z^b (1-|z|^2)^2 at the points z.
+
+    conj(z)^alpha z^beta is formed as t^min(alpha, beta) times the leftover
+    power, so that equal orders give exactly real prefactors.
+    """
+    sign = -1.0 if (alpha + beta) % 2 else 1.0
+    fa = int_factorial(alpha + 1)
+    fb = int_factorial(beta + 1)
+    leftover = z.conjugate() if alpha > beta else z
+    monomial = _ipow(t, min(alpha, beta)) * _ipow(leftover, abs(alpha - beta))
+    return sign * fa * fb * monomial * (1.0 - t) ** 2
+
+
 def _berezin_values(symbol: SymbolSpec, z, tol: float):
     """Analytic-route transform at every point of the array ``z``, unfenced;
     returns (values, est_errors) shaped like ``z``."""
@@ -264,54 +276,8 @@ def _berezin_values(symbol: SymbolSpec, z, tol: float):
     t = (flat * flat.conjugate()).real
     if np.any(t >= 1.0):
         raise BoundaryError("Berezin transform is defined inside the disk")
-    value, err = _berezin_flat(symbol.alpha, symbol.beta, symbol.base, flat, t, tol)
+    value, err = symbol.base.berezin(symbol.alpha, symbol.beta, flat, t, tol)
     return value.reshape(z.shape), err.reshape(z.shape)
-
-
-def _berezin_flat(alpha: int, beta: int, base, z: np.ndarray, t: np.ndarray, tol: float):
-    """Transform at the points of the 1-d array ``z``, with t = |z|^2.
-
-    Point masses use their closed form elementwise.  Radial atoms evaluate
-    the diagonal sum S once per distinct t and broadcast it, times
-    conj(z)^alpha z^beta, over the points sharing that t.
-    """
-    if isinstance(base, Combination):
-        value = np.zeros(z.size, dtype=complex)
-        err = np.zeros(z.size)
-        for c, b in base.terms:
-            v, e = _berezin_flat(alpha, beta, b, z, t, tol)
-            value += c * v
-            err += abs(c) * e
-        return value, err
-
-    if isinstance(base, CircleRadialDerivative):
-        return _circle_derivative_values(base.r0, t, tol)
-
-    sign = -1.0 if (alpha + beta) % 2 else 1.0
-    fa = int_factorial(alpha + 1)
-    fb = int_factorial(beta + 1)
-    # conj(z)^alpha z^beta as t^min(alpha, beta) times the leftover power,
-    # so that equal orders give exactly real prefactors
-    leftover = z.conjugate() if alpha > beta else z
-    monomial = _ipow(t, min(alpha, beta)) * _ipow(leftover, abs(alpha - beta))
-    prefactor = sign * fa * fb * monomial * (1.0 - t) ** 2
-    if isinstance(base, PointMass):
-        z0 = base.z0
-        value = (
-            prefactor
-            * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
-            * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
-        )
-        return value, 1e-14 * np.abs(value)
-
-    t_distinct, where = np.unique(t, return_inverse=True)
-    if isinstance(base, RadialPower):
-        S, est = _radial_power_S(alpha, beta, base.s, base.a, t_distinct, tol)
-    else:
-        S, est = _circle_uniform_S(alpha, beta, base.r0, t_distinct, tol)
-    S, est = S[where], est[where]
-    value = prefactor * S
-    return value, np.abs(prefactor) * est + 1e-15 * np.abs(prefactor) * np.abs(S)
 
 
 def berezin_series(symbol: SymbolSpec, z: complex, tol: float = 1e-10) -> BerezinSample:

@@ -33,16 +33,7 @@ from .errors import (
     NumericalFailureError,
     UnsupportedSymbolError,
 )
-from .measures import (
-    BaseMeasure,
-    CircleRadialDerivative,
-    CircleUniform,
-    Combination,
-    PointMass,
-    RadialPower,
-    SymbolSpec,
-    carleson_integral,
-)
+from .measures import SymbolSpec, carleson_integral, measure_from_config
 from .operators import assemble
 from .spectral import carleson_bound_estimate, decay_fit, singular_values, trace_report
 from .verify import run_examples
@@ -68,71 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- symbol codec
 
-_MEASURE_FIELDS = {
-    "radial_power": {"kind", "s", "a"},
-    "point_mass": {"kind", "re", "im"},
-    "circle_uniform": {"kind", "r0"},
-    "circle_radial_derivative": {"kind", "r0"},
-    "combination": {"kind", "terms"},
-}
-
-
-def _measure_from_config(obj) -> BaseMeasure:
-    if not isinstance(obj, dict):
-        raise UsageError("measure must be a JSON object")
-    kind = obj.get("kind")
-    if kind not in _MEASURE_FIELDS:
-        raise UsageError(f"unknown measure kind {kind!r}")
-    unknown = set(obj) - _MEASURE_FIELDS[kind]
-    if unknown:
-        raise UsageError(f"unknown keys for measure kind {kind!r}: {sorted(unknown)}")
-    try:
-        if kind == "radial_power":
-            return RadialPower(s=float(obj["s"]), a=float(obj.get("a", 0.0)))
-        if kind == "point_mass":
-            return PointMass(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
-        if kind == "circle_uniform":
-            return CircleUniform(r0=float(obj["r0"]))
-        if kind == "circle_radial_derivative":
-            return CircleRadialDerivative(r0=float(obj["r0"]))
-        terms = obj.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise UsageError("combination needs a nonempty terms list")
-        parsed = []
-        for term in terms:
-            if not isinstance(term, dict) or set(term) - {"coeff_re", "coeff_im", "measure"}:
-                raise UsageError("combination terms carry coeff_re, coeff_im, measure")
-            parsed.append(
-                (
-                    complex(float(term.get("coeff_re", 0.0)), float(term.get("coeff_im", 0.0))),
-                    _measure_from_config(term["measure"]),
-                )
-            )
-        return Combination(tuple(parsed))
-    except KeyError as exc:
-        raise UsageError(f"measure kind {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid measure config: {exc}") from exc
-
-
-def _measure_to_config(base: BaseMeasure) -> dict:
-    if isinstance(base, RadialPower):
-        return {"kind": "radial_power", "s": base.s, "a": base.a}
-    if isinstance(base, PointMass):
-        return {"kind": "point_mass", "re": base.z0.real, "im": base.z0.imag}
-    if isinstance(base, CircleUniform):
-        return {"kind": "circle_uniform", "r0": base.r0}
-    if isinstance(base, CircleRadialDerivative):
-        return {"kind": "circle_radial_derivative", "r0": base.r0}
-    return {
-        "kind": "combination",
-        "terms": [
-            {"coeff_re": c.real, "coeff_im": c.imag, "measure": _measure_to_config(b)}
-            for c, b in base.terms
-        ],
-    }
-
-
 def symbol_from_config(obj) -> SymbolSpec:
     if not isinstance(obj, dict):
         raise UsageError("symbol must be a JSON object")
@@ -146,7 +72,7 @@ def symbol_from_config(obj) -> SymbolSpec:
     if not isinstance(alpha, int) or not isinstance(beta, int):
         raise UsageError("alpha and beta must be integers")
     try:
-        return SymbolSpec(alpha=alpha, beta=beta, base=_measure_from_config(obj["measure"]))
+        return SymbolSpec(alpha=alpha, beta=beta, base=measure_from_config(obj["measure"]))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -155,7 +81,7 @@ def symbol_to_config(symbol: SymbolSpec) -> dict:
     return {
         "alpha": symbol.alpha,
         "beta": symbol.beta,
-        "measure": _measure_to_config(symbol.base),
+        "measure": symbol.base.to_config(),
     }
 
 
@@ -443,7 +369,7 @@ def _cmd_carleson(args) -> tuple[str, int]:
         probe = carleson_bound_estimate(symbol.base, args.k, list(args.dims))
     payload = {
         "report": "carleson",
-        "measure": _measure_to_config(symbol.base),
+        "measure": symbol.base.to_config(),
         "integral": {
             "k": report.k,
             "finite": report.finite,

@@ -11,17 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import basis_deriv_coeff
-from .measures import (
-    CircleRadialDerivative,
-    Combination,
-    PointMass,
-    SymbolSpec,
-    is_radial,
-    is_real_measure,
-    moment,
-    radial_moment,
-)
+from .measures import SymbolSpec
 
 __all__ = ["TruncatedOperator", "entry", "assemble", "adjoint_symbol"]
 
@@ -40,7 +30,6 @@ class TruncatedOperator:
     dim: int
     entries: np.ndarray
     symbol: SymbolSpec
-    assembly_tol: float = 0.0
     is_radial_band: bool = False
     is_hermitian: bool = False
 
@@ -56,87 +45,7 @@ def entry(symbol: SymbolSpec, n: int, m: int) -> complex:
     """
     if n < 0 or m < 0:
         raise ValueError("matrix indices must be nonnegative")
-    alpha, beta = symbol.alpha, symbol.beta
-    base = symbol.base
-    if isinstance(base, CircleRadialDerivative):
-        # alpha = beta = 0 is enforced by SymbolSpec
-        if n != m:
-            return 0.0 + 0.0j
-        return complex(-(n + 1.0) * 2.0 * n * base.r0 ** max(2 * n - 1, 0))
-    if isinstance(base, Combination):
-        return sum(
-            (c * entry(SymbolSpec(alpha, beta, b), n, m) for c, b in base.terms),
-            0.0 + 0.0j,
-        )
-    if m < alpha or n < beta:
-        return 0.0 + 0.0j
-    sign = -1.0 if (alpha + beta) % 2 else 1.0
-    return (
-        sign
-        * basis_deriv_coeff(m, alpha)
-        * basis_deriv_coeff(n, beta)
-        * moment(base, m - alpha, n - beta)
-    )
-
-
-def _assemble_array(symbol: SymbolSpec, dim: int) -> np.ndarray:
-    alpha, beta = symbol.alpha, symbol.beta
-    base = symbol.base
-    sign = -1.0 if (alpha + beta) % 2 else 1.0
-
-    if isinstance(base, Combination):
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, b in base.terms:
-            out += c * _assemble_array(SymbolSpec(alpha, beta, b), dim)
-        return out
-
-    if isinstance(base, CircleRadialDerivative):
-        n = np.arange(dim)
-        diag = -(n + 1.0) * 2.0 * n * base.r0 ** np.maximum(2 * n - 1, 0)
-        return np.diag(diag).astype(complex)
-
-    if isinstance(base, PointMass):
-        if alpha > beta:
-            # canonical orientation; the other is its exact conjugate
-            # transpose, which keeps adjoint coherence bitwise
-            swapped = _assemble_array(SymbolSpec(beta, alpha, base), dim)
-            return np.ascontiguousarray(swapped.conj().T)
-        m = np.arange(dim)
-        cm = np.array([basis_deriv_coeff(int(i), alpha) for i in m])
-        cn = np.array([basis_deriv_coeff(int(i), beta) for i in m])
-        zpow_m = np.array(
-            [base.z0 ** (i - alpha) if i >= alpha else 0.0 for i in m], dtype=complex
-        )
-        zpow_n = np.array(
-            [base.z0 ** (i - beta) if i >= beta else 0.0 for i in m], dtype=complex
-        )
-        col = cm * zpow_m          # input-side vector, index m
-        row = cn * zpow_n          # output-side vector, index n
-        # entries[n, m] = sign * col[m] * conj(row[n]): a rank-one matrix
-        out = sign * np.outer(row.conjugate(), col)
-        if alpha == beta:
-            # the adjoint is the same symbol, so the matrix must be
-            # Hermitian to the bit: mirror the upper triangle and keep
-            # the diagonal real (fused multiplies otherwise leave ulps)
-            upper = np.triu_indices(dim, 1)
-            out[(upper[1], upper[0])] = out[upper].conj()
-            diag = np.diag_indices(dim)
-            out[diag] = out[diag].real
-        return out
-
-    # radial measures: one diagonal band m - alpha = n - beta
-    out = np.zeros((dim, dim), dtype=complex)
-    for n in range(dim):
-        m = n - beta + alpha
-        if m < alpha or m >= dim or n < beta:
-            continue
-        out[n, m] = (
-            sign
-            * basis_deriv_coeff(m, alpha)
-            * basis_deriv_coeff(n, beta)
-            * radial_moment(base, m - alpha)
-        )
-    return out
+    return symbol.base.entry(symbol.alpha, symbol.beta, n, m)
 
 
 def assemble(symbol: SymbolSpec, dim: int) -> TruncatedOperator:
@@ -145,20 +54,16 @@ def assemble(symbol: SymbolSpec, dim: int) -> TruncatedOperator:
         raise ValueError("truncation dimension must be positive")
     if dim > MAX_DIMENSION:
         raise ValueError(f"truncation dimension capped at {MAX_DIMENSION}")
-    entries = _assemble_array(symbol, dim)
+    base = symbol.base
     return TruncatedOperator(
         dim=dim,
-        entries=entries,
+        entries=base.matrix(symbol.alpha, symbol.beta, dim),
         symbol=symbol,
-        assembly_tol=0.0,
-        is_radial_band=is_radial(symbol.base),
-        is_hermitian=(symbol.alpha == symbol.beta) and is_real_measure(symbol.base),
+        is_radial_band=base.radial,
+        is_hermitian=(symbol.alpha == symbol.beta) and base.real,
     )
 
 
 def adjoint_symbol(symbol: SymbolSpec) -> SymbolSpec:
     """Symbol of the adjoint operator: swap orders, conjugate coefficients."""
-    base = symbol.base
-    if isinstance(base, Combination):
-        base = Combination(tuple((c.conjugate(), b) for c, b in base.terms))
-    return SymbolSpec(alpha=symbol.beta, beta=symbol.alpha, base=base)
+    return SymbolSpec(alpha=symbol.beta, beta=symbol.alpha, base=symbol.base.conjugate())

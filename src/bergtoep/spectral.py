@@ -15,22 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import d_alpha_beta_eval, d_alpha_beta_terms
 from .berezin import _berezin_values, invariant_integral
 from .errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
 from .measures import (
-    CircleRadialDerivative,
-    CircleUniform,
-    Combination,
-    PointMass,
-    RadialPower,
-    SymbolSpec,
     BaseMeasure,
+    SymbolSpec,
     boundary_weight_integral,
     is_nonnegative,
     is_radial,
 )
-from .numutil import beta_integral, falling_factorial, int_factorial
 from .operators import TruncatedOperator, assemble
 
 __all__ = [
@@ -98,25 +91,13 @@ def ensure_trace_class(symbol: SymbolSpec) -> None:
     variants (point masses, circles) always pass; a divergent radial power
     raises with the failing endpoint exponent.
     """
-    weight_order = symbol.alpha + symbol.beta + 2
-
-    def check(base: BaseMeasure) -> None:
-        if isinstance(base, CircleRadialDerivative):
-            return
-        if isinstance(base, Combination):
-            for c, b in base.terms:
-                if c != 0:
-                    check(b)
-            return
-        report = boundary_weight_integral(base, weight_order)
-        if not report.finite:
-            raise NotTraceClassError(
-                "boundary-weight integral diverges: endpoint exponent "
-                f"{report.divergence_exponent}",
-                divergence_exponent=report.divergence_exponent,
-            )
-
-    check(symbol.base)
+    report = boundary_weight_integral(symbol.base, symbol.alpha + symbol.beta + 2)
+    if not report.finite:
+        raise NotTraceClassError(
+            "boundary-weight integral diverges: endpoint exponent "
+            f"{report.divergence_exponent}",
+            divergence_exponent=report.divergence_exponent,
+        )
 
 
 def trace_closed_form(symbol: SymbolSpec, tol: float = 1e-10) -> complex:
@@ -127,58 +108,7 @@ def trace_closed_form(symbol: SymbolSpec, tol: float = 1e-10) -> complex:
     off-diagonal angular term, leaving finite Beta-integral sums.
     """
     ensure_trace_class(symbol)
-    return _closed_form_value(symbol, tol)
-
-
-def _closed_form_value(symbol: SymbolSpec, tol: float) -> complex:
-    alpha, beta, base = symbol.alpha, symbol.beta, symbol.base
-    sign = -1.0 if (alpha + beta) % 2 else 1.0
-
-    if isinstance(base, Combination):
-        return sum(
-            (c * _closed_form_value(SymbolSpec(alpha, beta, b), tol) for c, b in base.terms),
-            0.0 + 0.0j,
-        )
-    if isinstance(base, CircleRadialDerivative):
-        r0 = base.r0
-        return complex(-4.0 * r0 / (1.0 - r0 * r0) ** 3)
-    if isinstance(base, PointMass):
-        return sign * d_alpha_beta_eval(base.z0, alpha, beta, tol)
-    if alpha != beta:
-        # rotation invariance: every surviving kernel term carries a
-        # nonzero angular frequency, so the pairing vanishes identically
-        return 0.0 + 0.0j
-    if isinstance(base, RadialPower):
-        total = 0.0
-        for coef, p_conj, _p, m in d_alpha_beta_terms(alpha, beta):
-            total += coef * beta_integral(p_conj + base.a + 1.0, base.s - m + 1.0)
-        return complex(sign * total)
-    if isinstance(base, CircleUniform):
-        t0 = base.r0**2
-        total = 0.0
-        for coef, p_conj, _p, m in d_alpha_beta_terms(alpha, beta):
-            total += coef * t0**p_conj * (1.0 - t0) ** (-m)
-        return complex(sign * total)
-    raise UnsupportedSymbolError(f"no closed trace form for {type(base).__name__}")
-
-
-def _geometric_diag_tail(term0: float, ratio_at, start: int) -> float:
-    """Bound sum of |d_n| for n >= start when the term ratios decrease.
-
-    Walks past the pre-asymptotic head where the ratio still exceeds 1;
-    once below 1 the decreasing ratio itself is a valid geometric bound.
-    """
-    term = term0
-    n = start
-    tail = 0.0
-    for _ in range(500_000):
-        rho = ratio_at(n)
-        if rho < 1.0:
-            return tail + term / (1.0 - rho)
-        tail += term
-        term *= rho
-        n += 1
-    return math.inf
+    return symbol.base.closed_trace(symbol.alpha, symbol.beta, tol)
 
 
 def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
@@ -190,135 +120,15 @@ def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
     """
     if dim < 1:
         raise ValueError("truncation dimension must be positive")
-    alpha, beta, base = symbol.alpha, symbol.beta, symbol.base
-
-    if isinstance(base, Combination):
-        total = 0.0 + 0.0j
-        tail = 0.0
-        for c, b in base.terms:
-            v, e = trace_matrix(SymbolSpec(alpha, beta, b), dim)
-            total += c * v
-            tail += abs(c) * e
-        return total, tail
-
-    if isinstance(base, CircleRadialDerivative):
-        n = np.arange(dim)
-        diag = -(n + 1.0) * 2.0 * n * base.r0 ** np.maximum(2 * n - 1, 0)
-        value = complex(math.fsum(diag))
-        y = base.r0**2
-
-        def ratio_at(n_: int) -> float:
-            return (n_ + 1.0) / n_ * (n_ + 2.0) / (n_ + 1.0) * y
-
-        first = 2.0 * dim * (dim + 1.0) * base.r0 ** (2 * dim - 1)
-        return value, _geometric_diag_tail(first, ratio_at, max(dim, 1))
-
-    if isinstance(base, PointMass):
-        j0 = max(alpha, beta)
-        sign = -1.0 if (alpha + beta) % 2 else 1.0
-        z0 = base.z0
-        x = (z0 * z0.conjugate()).real
-        terms = []
-        for n in range(j0, dim):
-            terms.append(
-                math.sqrt(n + 1.0)
-                * falling_factorial(n, alpha)
-                * math.sqrt(n + 1.0)
-                * falling_factorial(n, beta)
-                * z0 ** (n - alpha)
-                * z0.conjugate() ** (n - beta)
-            )
-        value = sign * complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-
-        def ratio_at(n_: int) -> float:
-            return (
-                (n_ + 2.0)
-                / (n_ + 1.0)
-                * ((n_ + 1.0) / (n_ + 1.0 - alpha))
-                * ((n_ + 1.0) / (n_ + 1.0 - beta))
-                * x
-            )
-
-        n = max(dim, j0)
-        first = (
-            (n + 1.0)
-            * falling_factorial(n, alpha)
-            * falling_factorial(n, beta)
-            * x ** (n - (alpha + beta) / 2.0)
-        )
-        return value, _geometric_diag_tail(first, ratio_at, n)
-
-    if alpha != beta:
-        # radial measure: the single band misses the diagonal entirely
-        return 0.0 + 0.0j, 0.0
-
-    if isinstance(base, CircleUniform):
-        y = base.r0**2
-        terms = [
-            (n + 1.0) * falling_factorial(n, alpha) ** 2 * y ** (n - alpha)
-            for n in range(alpha, dim)
-        ]
-        value = complex(math.fsum(terms))
-
-        def ratio_at(n_: int) -> float:
-            return (n_ + 2.0) / (n_ + 1.0) * ((n_ + 1.0) / (n_ + 1.0 - alpha)) ** 2 * y
-
-        n = max(dim, alpha)
-        first = (n + 1.0) * falling_factorial(n, alpha) ** 2 * y ** (n - alpha)
-        return value, _geometric_diag_tail(first, ratio_at, n)
-
-    # radial power weight, alpha = beta
-    s, a = base.s, base.a
-    d0 = (alpha + 1.0) * int_factorial(alpha) ** 2 * beta_integral(a + 1.0, s + 1.0)
-
-    def ratios(n_arr: np.ndarray) -> np.ndarray:
-        return (
-            (n_arr + 2.0)
-            / (n_arr + 1.0)
-            * ((n_arr + 1.0) / (n_arr + 1.0 - alpha)) ** 2
-            * (n_arr - alpha + a + 1.0)
-            / (n_arr - alpha + a + s + 2.0)
-        )
-
-    def diag_values(n_lo: int, n_hi: int, lead: float) -> np.ndarray:
-        n_arr = np.arange(n_lo, n_hi, dtype=float)
-        if n_arr.size == 0:
-            return np.zeros(0)
-        r = ratios(n_arr)
-        return lead * np.concatenate(([1.0], np.cumprod(r[:-1])))
-
-    d_head = diag_values(alpha, dim, d0)
-    value = complex(math.fsum(d_head))
-    if s - 2 * alpha - 1 <= 0.0:
-        return value, math.inf
-    # the diagonal starts at n = alpha; a truncation below that misses it all
-    tail_start = max(dim, alpha)
-    d_start = float(d_head[-1] * ratios(np.array([dim - 1.0]))[0]) if dim > alpha else d0
-    m_far = max(8 * dim, 200_000)
-    d_tail = diag_values(tail_start, m_far, d_start)
-    head = float(math.fsum(d_tail))
-    # power-law remainder beyond the summed stretch, doubled for safety
-    c_loc = -math.log(d_tail[-1] / d_tail[-2]) / math.log(m_far / (m_far - 1.0))
-    remainder = d_tail[-1] * m_far / (c_loc - 1.0) if c_loc > 1.0 else math.inf
-    return value, head + 2.0 * remainder
-
-
-def _sampler_error_budget(base: BaseMeasure, alpha: int, beta: int, point_tol: float) -> float:
-    """Bound on how much the transform evaluations' own tolerance can move
-    the invariant integral.  The transform carries a (1-|z|^2)^2 factor that
-    cancels the invariant weight, so a pointwise sum tolerance integrates to
-    at most the derivative-order factorials times it."""
-    if isinstance(base, Combination):
-        return sum(
-            abs(c) * _sampler_error_budget(b, alpha, beta, point_tol) for c, b in base.terms
-        )
-    if isinstance(base, CircleRadialDerivative):
-        return 2.0 / base.r0 * point_tol
-    return int_factorial(alpha + 1) * int_factorial(beta + 1) * point_tol
+    return symbol.base.diagonal_trace(symbol.alpha, symbol.beta, dim)
 
 
 def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float]:
-    """Trace as the invariant-measure integral of the Berezin transform."""
+    """Trace as the invariant-measure integral of the Berezin transform.
+
+    The reported error adds the sampler budget: how far the transform
+    evaluations' own tolerance can move the integral.
+    """
     ensure_trace_class(symbol)
     radial = is_radial(symbol.base) and symbol.alpha == symbol.beta
 
@@ -326,7 +136,7 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
         return _berezin_values(symbol, z, tol / 10.0)[0]
 
     result = invariant_integral(sampler, radial_hint=radial, tol=tol)
-    budget = _sampler_error_budget(symbol.base, symbol.alpha, symbol.beta, tol / 10.0)
+    budget = symbol.base.sampler_budget(symbol.alpha, symbol.beta, tol / 10.0)
     return result.value, result.est_error + budget
 
 

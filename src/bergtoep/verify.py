@@ -134,67 +134,39 @@ def _trace_instance(symbol: SymbolSpec, dim: int, reference: complex | None,
     return row
 
 
+def _trace_rows():
+    """(case, symbol, dim, reference, label) for every trace instance, in
+    report order."""
+    rows = [("ex41-k2-trace", SymbolSpec(1, 1, RadialPower(s=4.0)), 400,
+             complex(2 / ((2 - 1) * (2 * 2 - 3))), "s=4,alpha=beta=1")]  # k/((k-1)(2k-3)), k = 2
+    rows += [("ex42-delta0", SymbolSpec(a, a, PointMass(0.0)), 64,
+              complex(int_factorial(a) * int_factorial(a + 1)), f"alpha=beta={a}")
+             for a in (0, 1, 2)]
+    rows += [("ex42-delta0", SymbolSpec(a, b, PointMass(0.0)), 64, 0.0 + 0.0j, f"alpha={a},beta={b}")
+             for a, b in ((1, 0), (2, 1))]
+    rows += [("ex42-trace-11", SymbolSpec(1, 1, PointMass(z0)), 128,
+              complex(2.0 * (1.0 + 2.0 * (z0 * z0)) / (1.0 - z0 * z0) ** 4), f"z0={z0}")
+             for z0 in (0.3, 0.5)]
+    rows += [("ex42-alpha0", SymbolSpec(a, 0, PointMass(0.5)), 128,
+              complex((-1.0) ** a * int_factorial(a + 1) * 0.5**a / (1.0 - 0.5 * 0.5) ** (2 + a)),
+              f"alpha={a},beta=0")
+             for a in (1, 2)]
+    rows += [("ex43-trace", SymbolSpec(0, 0, CircleRadialDerivative(r0)), 120,
+              complex(-4.0 * r0 / (1.0 - r0 * r0) ** 3), f"r0={r0}")
+             for r0 in (0.3, 0.5, 0.7)]
+    return rows
+
+
 def _run_trace_case(case: OracleCase) -> tuple[tuple[dict, ...], float | None]:
-    rows = []
-    if case.name == "ex41-k2-trace":
-        k = 2
-        reference = complex(k / ((k - 1) * (2 * k - 3)))
-        rows.append(
-            _trace_instance(
-                SymbolSpec(1, 1, RadialPower(s=2.0 * k)), 400, reference,
-                case.tolerance, case.reference_gates, "s=4,alpha=beta=1",
-            )
-        )
-    elif case.name == "ex42-delta0":
-        for a in (0, 1, 2):
-            ref = complex(int_factorial(a) * int_factorial(a + 1))
-            rows.append(
-                _trace_instance(
-                    SymbolSpec(a, a, PointMass(0.0)), 64, ref,
-                    case.tolerance, case.reference_gates, f"alpha=beta={a}",
-                )
-            )
-        for a, b in ((1, 0), (2, 1)):
-            rows.append(
-                _trace_instance(
-                    SymbolSpec(a, b, PointMass(0.0)), 64, 0.0 + 0.0j,
-                    case.tolerance, case.reference_gates, f"alpha={a},beta={b}",
-                )
-            )
-    elif case.name == "ex42-trace-11":
-        for z0 in (0.3, 0.5):
-            x = z0 * z0
-            ref = complex(2.0 * (1.0 + 2.0 * x) / (1.0 - x) ** 4)
-            rows.append(
-                _trace_instance(
-                    SymbolSpec(1, 1, PointMass(z0)), 128, ref,
-                    case.tolerance, case.reference_gates, f"z0={z0}",
-                )
-            )
-    elif case.name == "ex42-alpha0":
-        z0 = 0.5
-        for a in (1, 2):
-            x = z0 * z0
-            ref = complex((-1.0) ** a * int_factorial(a + 1) * z0**a / (1.0 - x) ** (2 + a))
-            rows.append(
-                _trace_instance(
-                    SymbolSpec(a, 0, PointMass(z0)), 128, ref,
-                    case.tolerance, case.reference_gates, f"alpha={a},beta=0",
-                )
-            )
-    elif case.name == "ex43-trace":
-        for r0 in (0.3, 0.5, 0.7):
-            ref = complex(-4.0 * r0 / (1.0 - r0 * r0) ** 3)
-            rows.append(
-                _trace_instance(
-                    SymbolSpec(0, 0, CircleRadialDerivative(r0)), 120, ref,
-                    case.tolerance, case.reference_gates, f"r0={r0}",
-                )
-            )
-    else:
+    rows = tuple(
+        _trace_instance(symbol, dim, reference, case.tolerance, case.reference_gates, label)
+        for name, symbol, dim, reference, label in _trace_rows()
+        if name == case.name
+    )
+    if not rows:
         raise ValueError(f"unknown trace case {case.name}")
     ratio = rows[0]["ratio_to_reference"] if len(rows) == 1 else None
-    return tuple(rows), ratio
+    return rows, ratio
 
 
 def _run_identity_case(case: OracleCase) -> tuple[tuple[dict, ...], float | None]:
