@@ -31,7 +31,8 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from .errors import BoundaryError, NumericalFailureError
-from .numutil import CompensatedSum, beta_integral, gauss_legendre, int_factorial
+from .bergman import BOUNDARY_MARGIN
+from .numutil import beta_integral, gauss_legendre, int_factorial, ratio_series
 
 if TYPE_CHECKING:
     from .measures import SymbolSpec
@@ -46,8 +47,6 @@ __all__ = [
     "InvariantIntegralResult",
 ]
 
-BOUNDARY_MARGIN = 1e-6
-SERIES_TERM_CAP = 100_000
 # beyond this |z|^2 the radial-power series is replaced by the
 # hypergeometric integral representation
 _SERIES_T_MAX = 0.81
@@ -61,53 +60,6 @@ class BerezinSample:
     value: complex
     route: str
     est_error: float
-
-
-def _ratio_series(first, ratio_at: Callable, tol: float, ratio_sup=0.0):
-    """Sum positive-ratio series row by row with a term-ratio geometric tail bound.
-
-    ``first`` holds each row's first term and ``ratio_at(p, rows)`` maps the
-    index p to term(p+1)/term(p) for the listed rows; ``ratio_sup`` (a
-    scalar or one value per row) is the limiting ratio the terms approach.
-    The tail is bounded geometrically with the larger of the two, which
-    stays valid when the ratio sequence dips below its limit before rising
-    back.  Each row stops at the first term where its own bound meets
-    ``tol``, so it sums the same terms whatever else shares the batch.
-    Returns (sums, tail_bounds).
-    """
-    term = np.array(first, dtype=float).ravel()
-    size = term.size
-    sums = np.empty(size)
-    tails = np.empty(size)
-    rows = np.arange(size)
-    sup = np.broadcast_to(np.asarray(ratio_sup, dtype=float), (size,))
-    acc = np.zeros(size)
-    comp = np.zeros(size)
-    p = 0
-    while rows.size:
-        if p >= SERIES_TERM_CAP:
-            raise NumericalFailureError(
-                f"series did not converge within {SERIES_TERM_CAP} terms",
-                partial=float(acc[0] + comp[0]),
-            )
-        # Neumaier-compensated running sum, row by row
-        total = acc + term
-        comp += np.where(np.abs(acc) >= np.abs(term), (acc - total) + term, (term - total) + acc)
-        acc = total
-        ratio = ratio_at(p, rows)
-        rho = np.maximum(ratio, sup)
-        below = rho < 1.0
-        tail = np.where(below, np.abs(term) * rho / np.where(below, 1.0 - rho, 1.0), np.inf)
-        done = tail <= tol
-        if done.any():
-            sums[rows[done]] = acc[done] + comp[done]
-            tails[rows[done]] = tail[done]
-            keep = ~done
-            rows, term, acc, comp = rows[keep], term[keep], acc[keep], comp[keep]
-            ratio, sup = ratio[keep], sup[keep]
-        term = term * ratio
-        p += 1
-    return sums, tails
 
 
 def _ipow(w: np.ndarray, k: int) -> np.ndarray:
@@ -224,7 +176,7 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t, tol: float):
             )
 
         first = np.full(t_low.size, beta_integral(a + 1.0, s + 1.0))
-        S[low], est[low] = _ratio_series(first, ratio_at, tol, ratio_sup=t_low)
+        S[low], est[low] = ratio_series(first, ratio_at, tol, ratio_sup=t_low)
     if not low.all():
         S[~low], est[~low] = _radial_power_integral(alpha, beta, s, a, t[~low], tol)
     return S, est
@@ -236,7 +188,7 @@ def _circle_uniform_S(alpha: int, beta: int, r0: float, t: np.ndarray, tol: floa
     def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
         return (p + alpha + 2.0) * (p + beta + 2.0) / ((p + 1.0) * (p + 1.0)) * y[rows]
 
-    return _ratio_series(np.ones(t.size), ratio_at, tol)
+    return ratio_series(np.ones(t.size), ratio_at, tol)
 
 
 def _circle_derivative_values(r0: float, t: np.ndarray, tol: float):
@@ -249,7 +201,7 @@ def _circle_derivative_values(r0: float, t: np.ndarray, tol: float):
         p = p_index + 1
         return (p + 1.0) / p * ((p + 2.0) / (p + 1.0)) ** 2 * y[rows]
 
-    series, tail = _ratio_series(4.0 * y, ratio_at, tol)
+    series, tail = ratio_series(4.0 * y, ratio_at, tol)
     scale = (1.0 - t) ** 2 * 2.0 / r0
     return -scale * series, scale * tail
 
@@ -280,15 +232,19 @@ def _berezin_values(symbol: SymbolSpec, z, tol: float):
     return value.reshape(z.shape), err.reshape(z.shape)
 
 
+def _check_fence(z: complex) -> None:
+    if abs(z) > 1.0 - BOUNDARY_MARGIN:
+        raise BoundaryError(
+            f"transform evaluation needs |z| <= {1.0 - BOUNDARY_MARGIN}, got {abs(z)}"
+        )
+
+
 def berezin_series(symbol: SymbolSpec, z: complex, tol: float = 1e-10) -> BerezinSample:
     """Berezin transform at z by the analytic route (series or closed form)."""
     z = complex(z)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if abs(z) > 1.0 - BOUNDARY_MARGIN:
-        raise BoundaryError(
-            f"transform evaluation needs |z| <= {1.0 - BOUNDARY_MARGIN}, got {abs(z)}"
-        )
+    _check_fence(z)
     value, est = _berezin_values(symbol, np.array([z]), tol)
     return BerezinSample(z=z, value=complex(value[0]), route="series", est_error=float(est[0]))
 
@@ -301,10 +257,7 @@ def berezin_matrix(op: TruncatedOperator, z: complex) -> BerezinSample:
     truncation, scaled by the truncation's Frobenius norm.
     """
     z = complex(z)
-    if abs(z) > 1.0 - BOUNDARY_MARGIN:
-        raise BoundaryError(
-            f"transform evaluation needs |z| <= {1.0 - BOUNDARY_MARGIN}, got {abs(z)}"
-        )
+    _check_fence(z)
     n = op.dim
     t = (z * z.conjugate()).real
     idx = np.arange(n)
@@ -333,10 +286,7 @@ def weighted_berezin_radial(
     if not a_exp > -1.0:
         raise ValueError("weighted transform needs a_exp > -1")
     z = complex(z)
-    if abs(z) > 1.0 - BOUNDARY_MARGIN:
-        raise BoundaryError(
-            f"transform evaluation needs |z| <= {1.0 - BOUNDARY_MARGIN}, got {abs(z)}"
-        )
+    _check_fence(z)
     t = (z * z.conjugate()).real
     first = beta_integral(a_exp + 1.0, m_exp + alpha + 1.0)
     t_row = np.array([t])
@@ -349,7 +299,7 @@ def weighted_berezin_radial(
             / (p + a_exp + m_exp + alpha + 2.0)
         )
 
-    series, _ = _ratio_series([first], ratio_at, tol, ratio_sup=t)
+    series, _ = ratio_series([first], ratio_at, tol, ratio_sup=t)
     return complex((alpha + 1.0) * (1.0 - t) ** (2 + alpha) * float(series[0]))
 
 
@@ -434,7 +384,7 @@ def invariant_integral(
     x8, w8 = gauss_legendre(8)
     nodes = np.concatenate([x16, x8])
 
-    total = CompensatedSum()
+    panels: list[complex] = []  # 16-point panel values
     quad_error = 0.0
     panel_means: list[tuple[float, float]] = []  # (u midpoint, |mean h|)
     u_edge = 1.0
@@ -451,13 +401,15 @@ def invariant_integral(
         vals = h / u**2
         p16 = half * complex(np.dot(w16, vals[:16]))
         p8 = half * complex(np.dot(w8, vals[16:]))
-        total.add(p16)
+        panels.append(p16)
         quad_error += abs(p16 - p8)
         panel_means.append((mid, abs(p16) / (2.0 * half)))
         u_edge = u_lo
         if j >= 3 and abs(p16) < tol / 10.0:
             converged = True
             break
+
+    value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
 
     # extrapolate h ~ C u^e over the unresolved sliver (0, u_edge)
     exponent = 0.0
@@ -467,7 +419,7 @@ def invariant_integral(
     if not converged and exponent <= -0.95:
         raise NumericalFailureError(
             "graded-mesh panel budget exhausted against a divergent-looking boundary",
-            partial=total.value,
+            partial=value,
             achieved=quad_error,
         )
     exponent = min(max(exponent, -0.95), 8.0)
@@ -475,5 +427,5 @@ def invariant_integral(
     h_edge = h1 * (u_edge / u1) ** exponent if h1 > 0.0 else 0.0
     boundary_tail = 3.0 * h_edge * u_edge / (1.0 + exponent)
     return InvariantIntegralResult(
-        value=total.value, quad_error=quad_error, boundary_tail=boundary_tail
+        value=value, quad_error=quad_error, boundary_tail=boundary_tail
     )

@@ -9,16 +9,19 @@ derivative kernel
                 (j+1) [j!/(j-a)!] [j!/(j-b)!] w^(j-a) conj(w)^(j-b),
 
 which the trace formula pairs against the base measure.  Series are summed
-with compensated accumulation and a term-ratio geometric tail bound; all
-factorial-like coefficients are carried by multiplicative recurrences.
+by ``numutil.ratio_series`` (compensated, with a term-ratio geometric tail
+bound); all factorial-like coefficients are carried by multiplicative
+recurrences.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import BoundaryError, NumericalFailureError
-from .numutil import CompensatedSum, falling_factorial, int_factorial
+import numpy as np
+
+from .errors import BoundaryError
+from .numutil import falling_factorial, int_factorial, ratio_series
 
 __all__ = [
     "basis_deriv_coeff",
@@ -29,8 +32,8 @@ __all__ = [
     "d_alpha_beta_closed",
 ]
 
+# evaluation points stay this far inside the unit circle
 BOUNDARY_MARGIN = 1e-6
-SERIES_TERM_CAP = 100_000
 
 
 def basis_deriv_coeff(m: int, alpha: int) -> float:
@@ -75,21 +78,13 @@ def kernel_deriv_norm(z0: complex, gamma: int, tol: float = 1e-12) -> float:
     x = (z0 * z0.conjugate()).real
     if x >= 1.0:
         raise BoundaryError("kernel derivative norm needs |z0| < 1")
-    acc = CompensatedSum()
-    term = 1.0 / (gamma + 1.0)
-    p = 0
-    while p < SERIES_TERM_CAP:
-        acc.add(term)
-        ratio = (p + gamma + 2.0) * (p + gamma + 1.0) / ((p + 1.0) * (p + 1.0)) * x
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) <= tol:
-            break
-        term *= ratio
-        p += 1
-    else:
-        raise NumericalFailureError(
-            f"kernel norm series did not converge within {SERIES_TERM_CAP} terms"
-        )
-    return int_factorial(gamma + 1) * math.sqrt(acc.value.real)
+    x_row = np.array([x])
+
+    def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
+        return (p + gamma + 2.0) * (p + gamma + 1.0) / ((p + 1.0) * (p + 1.0)) * x_row[rows]
+
+    total, _ = ratio_series([1.0 / (gamma + 1.0)], ratio_at, tol)
+    return int_factorial(gamma + 1) * math.sqrt(float(total[0]))
 
 
 def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> complex:
@@ -108,33 +103,24 @@ def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> 
             f"derivative kernel series needs |w| <= {1.0 - BOUNDARY_MARGIN}, got |w|={abs(w)}"
         )
     t = (w * w.conjugate()).real
+    t_row = np.array([t])
     j0 = max(alpha, beta)
-    term = (
-        (j0 + 1.0)
-        * falling_factorial(j0, alpha)
-        * falling_factorial(j0, beta)
-        * w ** (j0 - alpha)
-        * w.conjugate() ** (j0 - beta)
-    )
-    acc = CompensatedSum()
-    j = j0
-    while j < j0 + SERIES_TERM_CAP:
-        acc.add(term)
-        ratio = (
+    # every term is a real coefficient times this monomial times t^(j - j0)
+    monomial = w ** (j0 - alpha) * w.conjugate() ** (j0 - beta)
+
+    def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
+        j = j0 + p
+        return (
             (j + 2.0)
             / (j + 1.0)
             * ((j + 1.0) / (j + 1.0 - alpha))
             * ((j + 1.0) / (j + 1.0 - beta))
-            * t
+            * t_row[rows]
         )
-        if ratio < 1.0 and abs(term) * ratio / (1.0 - ratio) <= tol:
-            return acc.value
-        term *= ratio
-        j += 1
-    raise NumericalFailureError(
-        f"derivative kernel series did not converge within {SERIES_TERM_CAP} terms at |w|={abs(w)}",
-        partial=acc.value,
-    )
+
+    first = (j0 + 1.0) * falling_factorial(j0, alpha) * falling_factorial(j0, beta)
+    series, _ = ratio_series([first], ratio_at, tol / (abs(monomial) or 1.0))
+    return monomial * float(series[0])
 
 
 def d_alpha_beta_terms(alpha: int, beta: int) -> list[tuple[float, int, int, int]]:

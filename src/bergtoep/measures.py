@@ -15,6 +15,7 @@ errors weighted by |c|.  A new kind is one class plus its entry in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .berezin import _circle_derivative_values, _circle_uniform_S, _ipow, _prefactor, _radial_power_S
 from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_terms
-from .errors import UnsupportedSymbolError
-from .numutil import beta_integral, falling_factorial, int_factorial
+from .errors import NumericalFailureError, UnsupportedSymbolError
+from .numutil import beta_integral, falling_factorial, int_factorial, ratio_series
 
 __all__ = [
     "RadialPower",
@@ -57,19 +58,16 @@ def _geometric_diag_tail(term0: float, ratio_at, start: int) -> float:
     """Bound sum of |d_n| for n >= start when the term ratios decrease.
 
     Walks past the pre-asymptotic head where the ratio still exceeds 1;
-    once below 1 the decreasing ratio itself is a valid geometric bound.
+    once below 1 the decreasing ratio itself is a valid geometric bound,
+    so any finite bound ends the walk.  +inf when the walk is exhausted.
     """
-    term = term0
-    n = start
-    tail = 0.0
-    for _ in range(500_000):
-        rho = ratio_at(n)
-        if rho < 1.0:
-            return tail + term / (1.0 - rho)
-        tail += term
-        term *= rho
-        n += 1
-    return math.inf
+    try:
+        head, tail = ratio_series(
+            [term0], lambda p, rows: np.array([ratio_at(start + p)]), sys.float_info.max
+        )
+    except NumericalFailureError:
+        return math.inf
+    return float(head[0] + tail[0])
 
 
 class _Atom:

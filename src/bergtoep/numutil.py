@@ -1,4 +1,5 @@
-"""Small numerical helpers: log-Beta, falling factorials, compensated sums."""
+"""Small numerical helpers: log-Beta, falling factorials, the ratio-series
+summer with its geometric tail bound, and Gauss-Legendre rules."""
 
 from __future__ import annotations
 
@@ -6,6 +7,10 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import NumericalFailureError
+
+SERIES_TERM_CAP = 100_000
 
 
 def log_beta(x: float, y: float) -> float:
@@ -36,37 +41,51 @@ def int_factorial(k: int) -> float:
     return falling_factorial(k, k)
 
 
-class CompensatedSum:
-    """Neumaier-compensated accumulator for complex series."""
+def ratio_series(first, ratio_at: Callable, tol: float, ratio_sup=0.0):
+    """Sum positive-ratio series row by row with a term-ratio geometric tail bound.
 
-    __slots__ = ("_re", "_im", "_cre", "_cim")
-
-    def __init__(self):
-        self._re = 0.0
-        self._im = 0.0
-        self._cre = 0.0
-        self._cim = 0.0
-
-    def add(self, value: complex) -> None:
-        x = value.real
-        t = self._re + x
-        if abs(self._re) >= abs(x):
-            self._cre += (self._re - t) + x
-        else:
-            self._cre += (x - t) + self._re
-        self._re = t
-
-        y = value.imag
-        t = self._im + y
-        if abs(self._im) >= abs(y):
-            self._cim += (self._im - t) + y
-        else:
-            self._cim += (y - t) + self._im
-        self._im = t
-
-    @property
-    def value(self) -> complex:
-        return complex(self._re + self._cre, self._im + self._cim)
+    ``first`` holds each row's first term and ``ratio_at(p, rows)`` maps the
+    index p to term(p+1)/term(p) for the listed rows; ``ratio_sup`` (a
+    scalar or one value per row) is the limiting ratio the terms approach.
+    The tail is bounded geometrically with the larger of the two, which
+    stays valid when the ratio sequence dips below its limit before rising
+    back.  Each row stops at the first term where its own bound meets
+    ``tol``, so it sums the same terms whatever else shares the batch.
+    Returns (sums, tail_bounds).
+    """
+    term = np.array(first, dtype=float).ravel()
+    size = term.size
+    sums = np.empty(size)
+    tails = np.empty(size)
+    rows = np.arange(size)
+    sup = np.broadcast_to(np.asarray(ratio_sup, dtype=float), (size,))
+    acc = np.zeros(size)
+    comp = np.zeros(size)
+    p = 0
+    while rows.size:
+        if p >= SERIES_TERM_CAP:
+            raise NumericalFailureError(
+                f"series did not converge within {SERIES_TERM_CAP} terms",
+                partial=float(acc[0] + comp[0]),
+            )
+        # Neumaier-compensated running sum, row by row
+        total = acc + term
+        comp += np.where(np.abs(acc) >= np.abs(term), (acc - total) + term, (term - total) + acc)
+        acc = total
+        ratio = ratio_at(p, rows)
+        rho = np.maximum(ratio, sup)
+        below = rho < 1.0
+        tail = np.where(below, np.abs(term) * rho / np.where(below, 1.0 - rho, 1.0), np.inf)
+        done = tail <= tol
+        if done.any():
+            sums[rows[done]] = acc[done] + comp[done]
+            tails[rows[done]] = tail[done]
+            keep = ~done
+            rows, term, acc, comp = rows[keep], term[keep], acc[keep], comp[keep]
+            ratio, sup = ratio[keep], sup[keep]
+        term = term * ratio
+        p += 1
+    return sums, tails
 
 
 @lru_cache(maxsize=8)

@@ -152,3 +152,9 @@ def test_zero_coefficient_terms_are_skipped_by_every_route(capsys):
     assert math.isfinite(tail)
     assert main(["trace", "--symbol", json.dumps(ZERO_TERM)]) == 0
     assert json.loads(capsys.readouterr().out)["agree"] is True
+
+
+def test_exhausted_diagonal_walk_gives_infinite_tail():
+    # near the circle the term ratios stay above 1 past the series cap
+    value, tail = trace_matrix(SymbolSpec(2, 2, PointMass(0.999999)), 64)
+    assert math.isfinite(value.real) and tail == math.inf
