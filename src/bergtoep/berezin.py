@@ -28,15 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from typing import TYPE_CHECKING
-
-from .errors import BoundaryError, NumericalFailureError
 from .bergman import BOUNDARY_MARGIN
+from .errors import BoundaryError, NumericalFailureError
 from .numutil import beta_integral, gauss_legendre, int_factorial, ratio_series
-
-if TYPE_CHECKING:
-    from .measures import SymbolSpec
-    from .operators import TruncatedOperator
 
 __all__ = [
     "BerezinSample",
@@ -220,9 +214,9 @@ def _prefactor(alpha: int, beta: int, z: np.ndarray, t: np.ndarray) -> np.ndarra
     return sign * fa * fb * monomial * (1.0 - t) ** 2
 
 
-def _berezin_values(symbol: SymbolSpec, z, tol: float):
-    """Analytic-route transform at every point of the array ``z``, unfenced;
-    returns (values, est_errors) shaped like ``z``."""
+def _berezin_values(symbol, z, tol: float):
+    """Analytic-route transform of the ``SymbolSpec`` at every point of the
+    array ``z``, unfenced; returns (values, est_errors) shaped like ``z``."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     t = (flat * flat.conjugate()).real
@@ -239,8 +233,9 @@ def _check_fence(z: complex) -> None:
         )
 
 
-def berezin_series(symbol: SymbolSpec, z: complex, tol: float = 1e-10) -> BerezinSample:
-    """Berezin transform at z by the analytic route (series or closed form)."""
+def berezin_series(symbol, z: complex, tol: float = 1e-10) -> BerezinSample:
+    """Berezin transform of the ``SymbolSpec`` at z by the analytic route
+    (series or closed form)."""
     z = complex(z)
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -249,7 +244,7 @@ def berezin_series(symbol: SymbolSpec, z: complex, tol: float = 1e-10) -> Berezi
     return BerezinSample(z=z, value=complex(value[0]), route="series", est_error=float(est[0]))
 
 
-def berezin_matrix(op: TruncatedOperator, z: complex) -> BerezinSample:
+def berezin_matrix(op, z: complex) -> BerezinSample:
     """Berezin transform of a truncated operator: the quadratic form on the
     normalized kernel's coefficient vector a_n(z) = (1-|z|^2) sqrt(n+1) conj(z)^n.
 

@@ -87,6 +87,12 @@ def kernel_deriv_norm(z0: complex, gamma: int, tol: float = 1e-12) -> float:
     return int_factorial(gamma + 1) * math.sqrt(float(total[0]))
 
 
+def d_alpha_beta_ratio(j: int, alpha: int, beta: int) -> float:
+    """Ratio of consecutive D(alpha, beta) series terms, j+1 over j, divided
+    by |w|^2."""
+    return (j + 2.0) / (j + 1.0) * ((j + 1.0) / (j + 1.0 - alpha)) * ((j + 1.0) / (j + 1.0 - beta))
+
+
 def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> complex:
     """Derivative kernel D(alpha, beta)(w) by its power series.
 
@@ -109,14 +115,7 @@ def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> 
     monomial = w ** (j0 - alpha) * w.conjugate() ** (j0 - beta)
 
     def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-        j = j0 + p
-        return (
-            (j + 2.0)
-            / (j + 1.0)
-            * ((j + 1.0) / (j + 1.0 - alpha))
-            * ((j + 1.0) / (j + 1.0 - beta))
-            * t_row[rows]
-        )
+        return d_alpha_beta_ratio(j0 + p, alpha, beta) * t_row[rows]
 
     first = (j0 + 1.0) * falling_factorial(j0, alpha) * falling_factorial(j0, beta)
     series, _ = ratio_series([first], ratio_at, tol / (abs(monomial) or 1.0))

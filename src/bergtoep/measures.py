@@ -22,7 +22,7 @@ from typing import Union
 import numpy as np
 
 from .berezin import _circle_derivative_values, _circle_uniform_S, _ipow, _prefactor, _radial_power_S
-from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_terms
+from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_ratio, d_alpha_beta_terms
 from .errors import NumericalFailureError, UnsupportedSymbolError
 from .numutil import beta_integral, falling_factorial, int_factorial, ratio_series
 
@@ -367,14 +367,9 @@ class PointMass(_Atom):
             math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
         )
 
+        # the diagonal terms are those of the D(alpha, beta) series at z0
         def ratio_at(n_: int) -> float:
-            return (
-                (n_ + 2.0)
-                / (n_ + 1.0)
-                * ((n_ + 1.0) / (n_ + 1.0 - alpha))
-                * ((n_ + 1.0) / (n_ + 1.0 - beta))
-                * x
-            )
+            return d_alpha_beta_ratio(n_, alpha, beta) * x
 
         n = max(dim, j0)
         first = (
@@ -602,9 +597,9 @@ def measure_from_config(obj) -> BaseMeasure:
     if not isinstance(obj, dict):
         raise ValueError("measure must be a JSON object")
     kind = obj.get("kind")
-    if kind not in MEASURE_KINDS:
+    cls = MEASURE_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ValueError(f"unknown measure kind {kind!r}")
-    cls = MEASURE_KINDS[kind]
     unknown = set(obj) - {"kind", *cls.config_fields}
     if unknown:
         raise ValueError(f"unknown keys for measure kind {kind!r}: {sorted(unknown)}")

@@ -158,3 +158,10 @@ def test_exhausted_diagonal_walk_gives_infinite_tail():
     # near the circle the term ratios stay above 1 past the series cap
     value, tail = trace_matrix(SymbolSpec(2, 2, PointMass(0.999999)), 64)
     assert math.isfinite(value.real) and tail == math.inf
+
+
+def test_non_string_kind_is_a_usage_error(capsys):
+    code = main(["trace", "--symbol", '{"alpha": 0, "beta": 0, "measure": {"kind": []}}'])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"type": "usage", "message": "unknown measure kind []"}
