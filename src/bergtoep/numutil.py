@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
