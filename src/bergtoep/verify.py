@@ -137,8 +137,8 @@ def _trace_instance(symbol: SymbolSpec, dim: int, reference: complex | None,
 def _trace_rows():
     """(case, symbol, dim, reference, label) for every trace instance, in
     report order."""
-    rows = [("ex41-k2-trace", SymbolSpec(1, 1, RadialPower(s=4.0)), 400,
-             complex(2 / ((2 - 1) * (2 * 2 - 3))), "s=4,alpha=beta=1")]  # k/((k-1)(2k-3)), k = 2
+    # k/((k-1)(2k-3)) at k = 2
+    rows = [("ex41-k2-trace", SymbolSpec(1, 1, RadialPower(s=4.0)), 400, 2.0 + 0.0j, "s=4,alpha=beta=1")]
     rows += [("ex42-delta0", SymbolSpec(a, a, PointMass(0.0)), 64,
               complex(int_factorial(a) * int_factorial(a + 1)), f"alpha=beta={a}")
              for a in (0, 1, 2)]
