@@ -10,8 +10,10 @@ normalized kernel, to
 with M the monomial moments of the base measure.  Radial bases collapse S
 to a one-dimensional series; point masses have a closed form.  Near the
 boundary the radial-power series is traded for an integral representation
-through the Gauss hypergeometric function, which stays evaluable where the
-series would need billions of terms.  Every route takes arrays of points:
+through the Gauss hypergeometric function 2F1(alpha+2, beta+2; 1; .), which
+stays evaluable where the series would need billions of terms; the orders
+are integers, so Euler's transformation gives it in closed form, a
+polynomial over a power of 1 - y.  Every route takes arrays of points:
 series are summed row by row, each row stopping on its own tail bound.
 
 The invariant integral uses composite Gauss-Legendre panels on a dyadic
@@ -30,7 +32,7 @@ import numpy as np
 
 from .bergman import BOUNDARY_MARGIN
 from .errors import BoundaryError, NumericalFailureError
-from .numutil import beta_integral, gauss_legendre, int_factorial, ratio_series
+from .numutil import beta_integral, falling_factorial, gauss_legendre, int_factorial, ratio_series
 
 __all__ = [
     "BerezinSample",
@@ -107,6 +109,21 @@ def _hyp_panel_table(s: float, a: float):
     return table
 
 
+def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
+    """2F1(alpha+2, beta+2; 1; y) for integer orders, elementwise on y < 1.
+
+    Euler's transformation (DLMF 15.8.1) gives (1-y)^-(alpha+beta+3) P(y),
+    with P = 2F1(-alpha-1, -beta-1; 1; y) a polynomial of degree
+    min(alpha, beta) + 1 whose coefficients (alpha+1)_k (beta+1)_k / (k!)^2
+    (falling factorials) are all positive, so nothing cancels.
+    """
+    poly = np.zeros_like(y)
+    for k in range(min(alpha, beta) + 1, -1, -1):  # Horner, top coefficient first
+        coeff = falling_factorial(alpha + 1, k) * falling_factorial(beta + 1, k) / int_factorial(k) ** 2
+        poly = poly * y + coeff
+    return poly / (1.0 - y) ** (alpha + beta + 3)
+
+
 def _first_stop(stop: np.ndarray) -> np.ndarray:
     """Per row, the index of the first True, or the last index if none."""
     return np.where(stop.any(axis=1), stop.argmax(axis=1), stop.shape[1] - 1)
@@ -115,14 +132,12 @@ def _first_stop(stop: np.ndarray) -> np.ndarray:
 def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndarray, tol: float):
     """S(t) = integral over x in (0,1) of x^a (1-x)^s 2F1(alpha+2, beta+2; 1; t x) dx.
 
-    All candidate panels of a batch go through one hypergeometric call;
-    each row then keeps the panels up to its own stopping panel: toward
+    All candidate panels of a batch go through one closed-form
+    ``_euler_hyp2f1`` evaluation; each row then keeps the panels up to its own stopping panel: toward
     x = 1 the first with 2^-j <= (1-t)/8, |p16| < tol/20 and j >= 2, toward
     x = 0 the first with |p16| < tol/20 and j >= 2.  The 8-point rule gives
     the per-panel error estimate.
     """
-    from scipy.special import hyp2f1
-
     _, w16 = gauss_legendre(16)
     _, w8 = gauss_legendre(8)
     x, weight, half, j = _hyp_panel_table(s, a)
@@ -131,7 +146,7 @@ def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndar
     est = np.empty(t.size)
     for lo in range(0, t.size, _HYP_BATCH):
         tb = t[lo : lo + _HYP_BATCH]
-        f = weight * hyp2f1(alpha + 2.0, beta + 2.0, 1.0, tb[:, None, None] * x)
+        f = weight * _euler_hyp2f1(alpha, beta, tb[:, None, None] * x)
         p16 = half * _weighted_sum(w16, f[..., :16])
         p8 = half * _weighted_sum(w8, f[..., 16:])
         small = (np.abs(p16) < tol / 20.0) & (j >= 2)

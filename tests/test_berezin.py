@@ -11,6 +11,7 @@ import pytest
 
 from bergtoep.berezin import (
     _berezin_values,
+    _euler_hyp2f1,
     _radial_power_S,
     berezin_matrix,
     berezin_series,
@@ -159,6 +160,25 @@ def test_radial_power_integral_representation_matches_brute_series():
     for alpha, beta, s, a, t in ((1, 1, 4.0, 0.0, 0.9), (2, 1, 5.5, 0.5, 0.85)):
         production, _ = _radial_power_S(alpha, beta, s, a, t, 1e-12)
         assert production == pytest.approx(brute(alpha, beta, s, a, t), rel=1e-10)
+
+
+def test_euler_closed_form_matches_scipy_hyp2f1():
+    # the hypergeometric branch evaluates 2F1(alpha+2, beta+2; 1; y) by
+    # Euler's transformation; oracle: scipy's general-purpose hyp2f1
+    from scipy.special import hyp2f1
+
+    rng = np.random.default_rng(9)
+    y = np.concatenate([
+        rng.uniform(0.0, 1.0, 2000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000),
+        [0.0, 0.5, 0.81, 1.0 - 1e-16],
+    ])
+    for alpha in range(6):
+        for beta in range(3):
+            for a, b in ((alpha, beta), (beta, alpha)):
+                ref = hyp2f1(a + 2.0, b + 2.0, 1.0, y)
+                rel = np.abs(_euler_hyp2f1(a, b, y) - ref) / ref
+                assert rel.max() <= 2e-15, (a, b, rel.max())
 
 
 def test_radial_power_branches_are_continuous_at_handover():
