@@ -181,6 +181,28 @@ def test_euler_closed_form_matches_scipy_hyp2f1():
                 assert rel.max() <= 2e-15, (a, b, rel.max())
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+def test_radial_power_error_bar_holds_against_mpmath_3f2(tol):
+    # S(t) = B(a+1, s+1) 3F2(alpha+2, beta+2, a+1; 1, a+s+2; t) at 40
+    # digits; radii on the series side (t <= 0.81) and past the handover
+    import mpmath
+
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for alpha, beta, s, a in (
+            (1, 1, 4.0, 0.0), (0, 0, 2.0, 0.0), (2, 1, 5.0, 0.0),
+            (1, 0, 2.5, 0.0), (1, 1, 3.5, 0.5), (2, 2, 6.0, 1.5),
+        ):
+            for r in (0.5, 0.85, 0.92, 0.95, 0.99):
+                t = r * r
+                ref = float(
+                    mpmath.beta(a + 1, s + 1)
+                    * mpmath.hyp3f2(alpha + 2, beta + 2, a + 1, 1, a + s + 2, t)
+                )
+                S, est = _radial_power_S(alpha, beta, s, a, t, tol)
+                assert abs(S[0] - ref) <= est[0] + 16.0 * eps * abs(ref), (alpha, beta, s, a, r)
+
+
 def test_radial_power_branches_are_continuous_at_handover():
     s_below, _ = _radial_power_S(1, 1, 4.0, 0.0, 0.809999, 1e-13)
     s_above, _ = _radial_power_S(1, 1, 4.0, 0.0, 0.810001, 1e-13)
