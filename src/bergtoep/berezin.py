@@ -336,6 +336,12 @@ def weighted_berezin_radial(
     return complex((alpha + 1.0) * (1.0 - t) ** (2 + alpha) * float(series[0]))
 
 
+# dyadic panels of the invariant integral, and trapezoid nodes per circle
+# before the first angular doubling
+_INVARIANT_PANELS = 48
+_THETA_START = 64
+
+
 @dataclass(frozen=True)
 class InvariantIntegralResult:
     """Integral against (1-|z|^2)^(-2) dA with split error accounting."""
@@ -391,9 +397,6 @@ def invariant_integral(
     sampler: Callable[[np.ndarray], np.ndarray],
     radial_hint: bool,
     tol: float = 1e-8,
-    *,
-    max_panels: int = 48,
-    theta_start: int = 64,
 ) -> InvariantIntegralResult:
     """Integral of ``sampler`` against the invariant measure (1-|z|^2)^(-2) dA.
 
@@ -422,7 +425,7 @@ def invariant_integral(
     panel_means: list[tuple[float, float]] = []  # (u midpoint, |mean h|)
     u_edge = 1.0
     converged = False
-    for j in range(max_panels):
+    for j in range(_INVARIANT_PANELS):
         u_hi, u_lo = 2.0**-j, 2.0 ** -(j + 1)
         mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
         u = mid + half * nodes
@@ -430,7 +433,7 @@ def invariant_integral(
         if radial_hint:
             h = _sampled(sampler, r.astype(complex))
         else:
-            h = _theta_average(sampler, r, theta_start, tol / 50.0)
+            h = _theta_average(sampler, r, _THETA_START, tol / 50.0)
         vals = h / u**2
         p16 = half * complex(np.dot(w16, vals[:16]))
         p8 = half * complex(np.dot(w8, vals[16:]))

@@ -240,9 +240,8 @@ def jacobi_svd(
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix via the same Jacobi
-    machinery: shift by a Gershgorin bound to reach positive semidefinite,
-    take singular values, shift back."""
+    """Descending eigenvalues of a Hermitian matrix (LAPACK, via
+    ``numpy.linalg.eigvalsh``)."""
     H = np.asarray(matrix, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix")
@@ -250,9 +249,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     scale = float(np.max(np.abs(H))) if H.size else 0.0
     if herm_defect > 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not Hermitian")
-    shift = float(np.max(np.sum(np.abs(H), axis=1))) if H.size else 0.0
-    _, svals, _ = jacobi_svd(H + shift * np.eye(H.shape[0]))
-    return svals - shift
+    return np.linalg.eigvalsh(H)[::-1]
 
 
 def singular_values(op: TruncatedOperator | np.ndarray, rank_tol: float = 1e-12) -> SpectrumReport:

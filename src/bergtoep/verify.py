@@ -36,7 +36,6 @@ class OracleCase:
     kind: str
     provenance: str  # "closed-form-reference" | "derived-oracle"
     tolerance: float
-    routes_required: tuple[str, ...]
     reference_gates: bool = True
 
 
@@ -59,43 +58,20 @@ class VerifyReport:
 
 def built_in_cases() -> tuple[OracleCase, ...]:
     return (
+        OracleCase("decay-circle", "decay", "derived-oracle", 0.10),
         OracleCase(
-            "decay-circle", "decay", "derived-oracle", 0.10,
-            routes_required=("matrix",),
-        ),
-        OracleCase(
-            "ex41-berezin-identity", "berezin-identity", "closed-form-reference",
-            IDENTITY_TOL, routes_required=("series",),
+            "ex41-berezin-identity", "berezin-identity", "closed-form-reference", IDENTITY_TOL
         ),
         OracleCase(
             "ex41-k2-trace", "trace", "closed-form-reference", TRACE_TOL,
-            routes_required=("matrix", "berezin", "closed_form"),
             reference_gates=False,  # normalization adjudicated by route agreement
         ),
-        OracleCase(
-            "ex42-alpha0", "trace", "closed-form-reference", TRACE_TOL,
-            routes_required=("matrix", "berezin", "closed_form"),
-        ),
-        OracleCase(
-            "ex42-delta0", "trace", "closed-form-reference", TRACE_TOL,
-            routes_required=("matrix", "berezin", "closed_form"),
-        ),
-        OracleCase(
-            "ex42-norm", "norm", "closed-form-reference", NORM_TOL,
-            routes_required=("series",),
-        ),
-        OracleCase(
-            "ex42-trace-11", "trace", "closed-form-reference", TRACE_TOL,
-            routes_required=("matrix", "berezin", "closed_form"),
-        ),
-        OracleCase(
-            "ex43-trace", "trace", "closed-form-reference", TRACE_TOL,
-            routes_required=("matrix", "berezin", "closed_form"),
-        ),
-        OracleCase(
-            "rank-one", "rank-one", "derived-oracle", 1e-8,
-            routes_required=("matrix",),
-        ),
+        OracleCase("ex42-alpha0", "trace", "closed-form-reference", TRACE_TOL),
+        OracleCase("ex42-delta0", "trace", "closed-form-reference", TRACE_TOL),
+        OracleCase("ex42-norm", "norm", "closed-form-reference", NORM_TOL),
+        OracleCase("ex42-trace-11", "trace", "closed-form-reference", TRACE_TOL),
+        OracleCase("ex43-trace", "trace", "closed-form-reference", TRACE_TOL),
+        OracleCase("rank-one", "rank-one", "derived-oracle", 1e-8),
     )
 
 
