@@ -136,9 +136,9 @@ def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndar
     ``_euler_hyp2f1`` evaluation; each row then keeps the panels up to its
     own stopping panel: toward x = 1 the first with 2^-j <= (1-t)/8,
     |p16| < tol/20 and j >= 2, toward x = 0 the first with |p16| < tol/20
-    and j >= 2.  The estimate adds the 8-point rule's per-panel error and
-    a bound on each of the two slivers past the stopping panels, which are
-    not integrated.
+    and j >= 2.  The two slivers past the stopping panels are bracketed in
+    closed form.  The estimate adds the 8-point rule's per-panel error and
+    the brackets' half widths.
     """
     _, w16 = gauss_legendre(16)
     _, w8 = gauss_legendre(8)
@@ -156,30 +156,30 @@ def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndar
         stop_zero = _first_stop(small[:, n_one:])
         col = np.arange(j.size)
         used = (col <= stop_one[:, None]) | ((col >= n_one) & (col - n_one <= stop_zero[:, None]))
-        # each sliver past a stopping panel, u in (0, u_end) or x in
-        # (0, x_end), is bounded by the power that vanishes there,
-        # integrated exactly, times the sup of the other two factors;
-        # 2F1(., t x) grows with x, as its Euler polynomial's coefficients
-        # are positive
+        # the slivers past the stopping panels, u in (0, u_end) and x in
+        # (0, x_end), are not integrated: the power that vanishes there is
+        # integrated exactly and the other two factors are bracketed by
+        # their values at the sliver's ends (2F1(., t x) grows with x, as
+        # its Euler polynomial's coefficients are positive).  The value
+        # takes the bracket's midpoint, the estimate its half width.
         u_end = 2.0 ** -(j[stop_one] + 1.0)
         x_end = 2.0 ** -(j[n_one + stop_zero] + 1.0)
-        sliver_one = (
-            np.maximum(1.0, (1.0 - u_end) ** a)
-            * _euler_hyp2f1(alpha, beta, tb)
-            * u_end ** (s + 1.0)
-            / (s + 1.0)
+        x_pow, u_pow = (1.0 - u_end) ** a, (1.0 - x_end) ** s
+        one = u_end ** (s + 1.0) / (s + 1.0)
+        zero = x_end ** (a + 1.0) / (a + 1.0)
+        upper = (
+            np.maximum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb) * one
+            + np.maximum(1.0, u_pow) * _euler_hyp2f1(alpha, beta, tb * x_end) * zero
         )
-        sliver_zero = (
-            np.maximum(1.0, (1.0 - x_end) ** s)
-            * _euler_hyp2f1(alpha, beta, tb * x_end)
-            * x_end ** (a + 1.0)
-            / (a + 1.0)
+        lower = (
+            np.minimum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb * (1.0 - u_end)) * one
+            + np.minimum(1.0, u_pow) * zero
         )
         # running sums in panel order, as the panels are visited
-        total[lo : lo + _HYP_BATCH] = np.cumsum(np.where(used, p16, 0.0), axis=1)[:, -1]
-        est[lo : lo + _HYP_BATCH] = (
-            np.cumsum(np.where(used, np.abs(p16 - p8), 0.0), axis=1)[:, -1] + sliver_one + sliver_zero
-        )
+        kept = np.cumsum(np.where(used, p16, 0.0), axis=1)[:, -1]
+        quad_err = np.cumsum(np.where(used, np.abs(p16 - p8), 0.0), axis=1)[:, -1]
+        total[lo : lo + _HYP_BATCH] = kept + 0.5 * (upper + lower)
+        est[lo : lo + _HYP_BATCH] = quad_err + 0.5 * (upper - lower)
     return total, est
 
 
