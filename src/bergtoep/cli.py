@@ -356,7 +356,7 @@ def _cmd_matrix(args) -> tuple[str, int]:
         "dim": op.dim,
         "is_radial_band": op.is_radial_band,
         "is_hermitian": op.is_hermitian,
-        "entries": [[complex(v) for v in row] for row in op.entries],
+        "entries": op.entries.tolist(),
     }
     return emit_report(payload, args.format), 0
 

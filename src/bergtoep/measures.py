@@ -24,7 +24,7 @@ import numpy as np
 from .berezin import _circle_derivative_values, _circle_uniform_S, _ipow, _prefactor, _radial_power_S
 from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_ratio, d_alpha_beta_terms
 from .errors import NumericalFailureError, UnsupportedSymbolError
-from .numutil import beta_integral, falling_factorial, int_factorial, ratio_series
+from .numutil import SERIES_TERM_CAP, beta_integral, falling_factorial, int_factorial, ratio_series
 
 __all__ = [
     "RadialPower",
@@ -61,6 +61,12 @@ def _geometric_diag_tail(term0: float, ratio_at, start: int) -> float:
     once below 1 the decreasing ratio itself is a valid geometric bound,
     so any finite bound ends the walk.  +inf when the walk is exhausted.
     """
+    # every caller's ratio decreases in n (the D(alpha, beta) ratio times
+    # |z0|^2, the circle band ratio, (n+2)/n times r0^2): if the last ratio
+    # the walk may reach is still >= 1, so is each one before it, and the
+    # walk would end exhausted
+    if ratio_at(start + SERIES_TERM_CAP - 1) >= 1.0:
+        return math.inf
     try:
         head, tail = ratio_series(
             [term0], lambda p, rows: np.array([ratio_at(start + p)]), sys.float_info.max
@@ -68,6 +74,34 @@ def _geometric_diag_tail(term0: float, ratio_at, start: int) -> float:
     except NumericalFailureError:
         return math.inf
     return float(head[0] + tail[0])
+
+
+_TILE = 64
+
+
+def _conj_transpose_tiles(out: np.ndarray, mirror: bool) -> None:
+    """Conjugate-transpose the square matrix ``out`` in place, by tiles.
+
+    With ``mirror`` only the strict lower triangle is written, from the
+    upper one, which makes ``out`` Hermitian; otherwise the two triangles
+    swap.  Conjugation is exact, and the temporaries are single tiles.
+    """
+    dim = out.shape[0]
+    for i0 in range(0, dim, _TILE):
+        i1 = min(i0 + _TILE, dim)
+        block = out[i0:i1, i0:i1]
+        flipped = block.T.conj()
+        if mirror:
+            np.copyto(block, flipped, where=np.tri(i1 - i0, k=-1, dtype=bool))
+        else:
+            block[...] = flipped
+        for j0 in range(i1, dim, _TILE):
+            j1 = min(j0 + _TILE, dim)
+            upper, lower = out[i0:i1, j0:j1], out[j0:j1, i0:i1]
+            if mirror:
+                np.conjugate(upper.T, out=lower)
+            else:
+                upper[...], lower[...] = lower.T.conj(), upper.T.conj()
 
 
 class _Atom:
@@ -81,7 +115,9 @@ class _Atom:
       ``UnsupportedSymbolError``);
     - ``entry(alpha, beta, n, m)``: one matrix element, the form applied
       to (e_m, e_n);
-    - ``matrix(alpha, beta, dim)``: the dense truncation entries[n, m];
+    - ``matrix(alpha, beta, dim)``: the dense truncation entries[n, m],
+      written into one 16 dim^2 byte buffer (268 MB at the 4096 cap),
+      with no index array of that size;
     - ``diagonal_trace(alpha, beta, dim)``: (partial diagonal sum, tail
       bound);
     - ``closed_trace(alpha, beta, tol)``: the pairing with the derivative
@@ -328,7 +364,9 @@ class PointMass(_Atom):
         if alpha > beta:
             # canonical orientation; the other is its exact conjugate
             # transpose, which keeps adjoint coherence bitwise
-            return np.ascontiguousarray(self.matrix(beta, alpha, dim).conj().T)
+            out = self.matrix(beta, alpha, dim)
+            _conj_transpose_tiles(out, mirror=False)
+            return out
         z0 = self.z0
         m = np.arange(dim)
         cm = np.array([basis_deriv_coeff(int(i), alpha) for i in m])
@@ -338,15 +376,14 @@ class PointMass(_Atom):
         col = cm * zpow_m          # input-side vector, index m
         row = cn * zpow_n          # output-side vector, index n
         # entries[n, m] = sign * col[m] * conj(row[n]): a rank-one matrix
-        out = _sign(alpha, beta) * np.outer(row.conjugate(), col)
+        out = np.outer(row.conjugate(), col)
+        np.multiply(_sign(alpha, beta), out, out=out)
         if alpha == beta:
             # the adjoint is the same symbol, so the matrix must be
             # Hermitian to the bit: mirror the upper triangle and keep
             # the diagonal real (fused multiplies otherwise leave ulps)
-            upper = np.triu_indices(dim, 1)
-            out[(upper[1], upper[0])] = out[upper].conj()
-            diag = np.diag_indices(dim)
-            out[diag] = out[diag].real
+            _conj_transpose_tiles(out, mirror=True)
+            np.fill_diagonal(out.imag, 0.0)
         return out
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
@@ -433,7 +470,9 @@ class CircleRadialDerivative(_Atom):
         return complex(self._diagonal(n))
 
     def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
-        return np.diag(self._diagonal(np.arange(dim))).astype(complex)
+        out = np.zeros((dim, dim), dtype=complex)
+        np.fill_diagonal(out, self._diagonal(np.arange(dim)))
+        return out
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
         value = complex(math.fsum(self._diagonal(np.arange(dim))))
@@ -528,7 +567,15 @@ class Combination:
         return self._sum("entry", (alpha, beta, n, m), 0.0 + 0.0j)
 
     def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
-        return self._sum("matrix", (alpha, beta, dim), np.zeros((dim, dim), dtype=complex))
+        # each term is scaled in place, c on the left as in c * term, and
+        # freed before the next is built; the zero start fixes the signs
+        # of zeros
+        out = np.zeros((dim, dim), dtype=complex)
+        for c, atom in self._nonzero():
+            term = atom.matrix(alpha, beta, dim)
+            out += np.multiply(c, term, out=term)
+            del term
+        return out
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
         return self._sum("diagonal_trace", (alpha, beta, dim), 0.0 + 0.0j, 0.0)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergtoep.bergman import basis_deriv_coeff
 from bergtoep.measures import (
     CircleRadialDerivative,
     CircleUniform,
@@ -163,3 +165,82 @@ def test_adjoint_coherence_property(base, alpha, beta, dim):
     a = assemble(s, dim).entries
     b = assemble(adjoint_symbol(s), dim).entries
     assert np.array_equal(a.conj().T, b)
+
+
+def _reference_point_matrix(z0: complex, alpha: int, beta: int, dim: int) -> np.ndarray:
+    """The point-mass truncation by an index-array mirror of the upper
+    triangle and a conjugate-transposed copy for alpha > beta: the values
+    the in-place tiled build must match to the bit."""
+    if alpha > beta:
+        return np.ascontiguousarray(_reference_point_matrix(z0, beta, alpha, dim).conj().T)
+    m = np.arange(dim)
+    cm = np.array([basis_deriv_coeff(int(i), alpha) for i in m])
+    cn = np.array([basis_deriv_coeff(int(i), beta) for i in m])
+    zpow_m = np.array([z0 ** (i - alpha) if i >= alpha else 0.0 for i in m], dtype=complex)
+    zpow_n = np.array([z0 ** (i - beta) if i >= beta else 0.0 for i in m], dtype=complex)
+    sign = -1.0 if (alpha + beta) % 2 else 1.0
+    out = sign * np.outer((cn * zpow_n).conjugate(), cm * zpow_m)
+    if alpha == beta:
+        upper = np.triu_indices(dim, 1)
+        out[(upper[1], upper[0])] = out[upper].conj()
+        diag = np.diag_indices(dim)
+        out[diag] = out[diag].real
+    return out
+
+
+POINT_ORDERS = [(1, 1), (2, 2), (1, 0), (0, 1), (2, 1)]
+
+
+@pytest.mark.parametrize("alpha,beta", POINT_ORDERS)
+def test_point_mass_matrix_bitwise_at_tile_edges(alpha, beta):
+    z0 = 0.37 - 0.41j
+    for dim in (1, 2, 3, 63, 64, 65, 255, 256, 257, 513):
+        got = PointMass(z0).matrix(alpha, beta, dim)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == _reference_point_matrix(z0, alpha, beta, dim).tobytes()
+
+
+def test_circle_derivative_and_combination_matrices_bitwise():
+    dim = 130
+    circle = CircleRadialDerivative(0.6)
+    reference = np.diag(circle._diagonal(np.arange(dim))).astype(complex)
+    assert circle.matrix(0, 0, dim).tobytes() == reference.tobytes()
+    combo = Combination(
+        ((1.5 - 0.5j, PointMass(0.3 - 0.2j)), (-0.75, CircleUniform(0.6)), (0.0, RadialPower(3.0)))
+    )
+    reference = np.zeros((dim, dim), dtype=complex)
+    for c, base in combo.terms[:2]:
+        # a named operand: numpy would compute c * <temporary> in place as
+        # term * c, and the operand order decides the last bit
+        term = base.matrix(1, 1, dim)
+        reference += c * term
+    assert combo.matrix(1, 1, dim).tobytes() == reference.tobytes()
+
+
+def _peak_over_buffer(build, dim: int) -> float:
+    """Peak traced allocation of ``build()`` over one dim^2 complex buffer."""
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16.0 * dim * dim)
+
+
+@pytest.mark.parametrize(
+    "base,alpha,beta,bound",
+    [pytest.param(PointMass(0.3 + 0.2j), a, b, 1.1, id=f"point_{a}{b}") for a, b in POINT_ORDERS]
+    + [
+        pytest.param(RadialPower(s=4.0), 1, 1, 1.1, id="radial_power"),
+        pytest.param(CircleUniform(0.5), 1, 1, 1.1, id="circle_uniform"),
+        pytest.param(CircleRadialDerivative(0.5), 0, 0, 1.1, id="circle_radial_derivative"),
+        pytest.param(
+            Combination(((2.0, PointMass(0.3 + 0.2j)), (0.5, CircleUniform(0.5)))), 1, 1, 2.1,
+            id="combination",
+        ),
+    ],
+)
+def test_matrix_assembles_in_one_buffer(base, alpha, beta, bound):
+    dim = 1024
+    assert _peak_over_buffer(lambda: base.matrix(alpha, beta, dim), dim) <= bound

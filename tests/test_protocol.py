@@ -154,8 +154,13 @@ def test_zero_coefficient_terms_are_skipped_by_every_route(capsys):
     assert json.loads(capsys.readouterr().out)["agree"] is True
 
 
-def test_exhausted_diagonal_walk_gives_infinite_tail():
-    # near the circle the term ratios stay above 1 past the series cap
+def test_exhausted_diagonal_walk_gives_infinite_tail(monkeypatch):
+    # near the circle the term ratios stay above 1 past the series cap,
+    # which the last ratio shows without walking the series
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the exhausted walk ran")
+
+    monkeypatch.setattr(measures, "ratio_series", no_walk)
     value, tail = trace_matrix(SymbolSpec(2, 2, PointMass(0.999999)), 64)
     assert math.isfinite(value.real) and tail == math.inf
 
