@@ -69,7 +69,7 @@ def symbol_from_config(obj) -> SymbolSpec:
         if key not in obj:
             raise UsageError(f"symbol config is missing {key!r}")
     alpha, beta = obj["alpha"], obj["beta"]
-    if not isinstance(alpha, int) or not isinstance(beta, int):
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in (alpha, beta)):
         raise UsageError("alpha and beta must be integers")
     try:
         return SymbolSpec(alpha=alpha, beta=beta, base=measure_from_config(obj["measure"]))
@@ -303,12 +303,13 @@ def _cmd_spectrum(args) -> tuple[str, int]:
     symbol = _parse_symbol_arg(args.symbol)
     op = assemble(symbol, args.dim)
     report = singular_values(op, rank_tol=args.rank_tol)
-    window = tuple(args.window) if args.window else (args.dim // 4, args.dim // 2)
-    fit = None
-    try:
-        fit = decay_fit(report, window)
-    except ValueError:
-        pass  # degenerate spectra have no meaningful fit window
+    if args.window:
+        fit = decay_fit(report, tuple(args.window))  # a rejected window is a config error
+    else:
+        try:
+            fit = decay_fit(report, (args.dim // 4, args.dim // 2))
+        except ValueError:
+            fit = None  # degenerate spectra have no meaningful default window
     payload = {
         "report": "spectrum",
         "symbol": symbol_to_config(symbol),

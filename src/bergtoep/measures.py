@@ -40,10 +40,6 @@ __all__ = [
     "measure_from_config",
     "carleson_integral",
     "boundary_weight_integral",
-    "is_radial",
-    "is_nonnegative",
-    "is_real_measure",
-    "contains_distribution",
 ]
 
 MAX_DERIVATIVE_ORDER = 32
@@ -658,24 +654,6 @@ def measure_from_config(obj) -> BaseMeasure:
         raise ValueError(f"invalid measure config: {exc}") from exc
 
 
-def contains_distribution(base: BaseMeasure) -> bool:
-    return base.distribution
-
-
-def is_radial(base: BaseMeasure) -> bool:
-    """True when the measure is rotation invariant (point masses are not)."""
-    return base.radial
-
-
-def is_nonnegative(base: BaseMeasure) -> bool:
-    return base.nonnegative
-
-
-def is_real_measure(base: BaseMeasure) -> bool:
-    """True when the pairing is real-valued (real coefficients throughout)."""
-    return base.real
-
-
 @dataclass(frozen=True)
 class SymbolSpec:
     """Derivative orders (alpha, beta) applied to a base measure.
@@ -757,14 +735,8 @@ def carleson_integral(base: BaseMeasure, k: int) -> FinitenessReport:
     """
     if k < 0:
         raise ValueError(f"Carleson order must be nonnegative, got {k}")
-    if contains_distribution(base):
+    if base.distribution:
         raise UnsupportedSymbolError(
             "finiteness integral is defined for measures, not distributions"
         )
-    report = boundary_weight_integral(base, 2 * k + 2)
-    return FinitenessReport(
-        k=k,
-        finite=report.finite,
-        value=report.value,
-        divergence_exponent=report.divergence_exponent,
-    )
+    return boundary_weight_integral(base, 2 * k + 2)

@@ -17,13 +17,7 @@ import numpy as np
 
 from .berezin import _berezin_values, invariant_integral
 from .errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
-from .measures import (
-    BaseMeasure,
-    SymbolSpec,
-    boundary_weight_integral,
-    is_nonnegative,
-    is_radial,
-)
+from .measures import BaseMeasure, SymbolSpec, boundary_weight_integral
 from .operators import TruncatedOperator, assemble
 
 __all__ = [
@@ -80,7 +74,6 @@ class SpectrumReport:
 
     svals: np.ndarray
     numerical_rank: int
-    fit: DecayFit | None = None
 
 
 def ensure_trace_class(symbol: SymbolSpec) -> None:
@@ -130,7 +123,7 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
     evaluations' own tolerance can move the integral.
     """
     ensure_trace_class(symbol)
-    radial = is_radial(symbol.base) and symbol.alpha == symbol.beta
+    radial = symbol.base.radial and symbol.alpha == symbol.beta
 
     def sampler(z: np.ndarray) -> np.ndarray:
         return _berezin_values(symbol, z, tol / 10.0)[0]
@@ -175,26 +168,22 @@ def trace_report(
     )
 
 
-def jacobi_svd(
-    matrix: np.ndarray,
-    sweep_tol: float = JACOBI_SWEEP_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a square complex matrix: A = U diag(s) V^H.
+def jacobi_svd(matrix: np.ndarray) -> np.ndarray:
+    """Descending singular values of a square complex matrix by one-sided
+    Jacobi.
 
     Column pairs are rotated (with a phase factor absorbing the complex
     inner product) until the relative off-diagonal mass of the implicit
-    Gram matrix drops below ``sweep_tol``.  Deterministic: fixed cyclic
-    pair order, no parallel reduction.
+    Gram matrix drops below ``JACOBI_SWEEP_TOL``; the singular values are
+    the norms of the rotated columns, so no singular vectors are built.
+    Deterministic: fixed cyclic pair order, no parallel reduction.
     """
     A = np.array(matrix, dtype=complex, order="F", copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("jacobi_svd expects a square matrix")
     n = A.shape[0]
-    V = np.eye(n, dtype=complex, order="F")
     rel = 0.0
-    converged = False
-    for _sweep in range(max_sweeps):
+    for _sweep in range(JACOBI_MAX_SWEEPS):
         colsq = np.einsum("ij,ij->j", A.conj(), A).real
         off2 = 0.0
         for i in range(n - 1):
@@ -212,31 +201,17 @@ def jacobi_svd(
                 s = c * t
                 aj = A[:, j] * phase.conjugate()
                 A[:, i], A[:, j] = c * A[:, i] - s * aj, s * A[:, i] + c * aj
-                vj = V[:, j] * phase.conjugate()
-                V[:, i], V[:, j] = c * V[:, i] - s * vj, s * V[:, i] + c * vj
                 colsq[i] = max(a_sq * c * c + b_sq * s * s - 2.0 * c * s * ga, 0.0)
                 colsq[j] = max(a_sq * s * s + b_sq * c * c + 2.0 * c * s * ga, 0.0)
         denom = math.sqrt(float(np.sum(colsq**2)))
         rel = math.sqrt(off2) / denom if denom > 0.0 else 0.0
-        if rel < sweep_tol:
-            converged = True
-            break
-    if not converged:
-        raise NumericalFailureError(
-            f"Jacobi sweeps exhausted ({max_sweeps}); off-diagonal mass {rel:.3e}",
-            achieved=rel,
-        )
-    svals = np.sqrt(np.einsum("ij,ij->j", A.conj(), A).real)
-    order = np.argsort(-svals, kind="stable")
-    svals = svals[order]
-    A = A[:, order]
-    V = V[:, order]
-    U = np.zeros_like(A)
-    cutoff = svals[0] * n * np.finfo(float).eps if svals[0] > 0.0 else 0.0
-    for k in range(n):
-        if svals[k] > cutoff:
-            U[:, k] = A[:, k] / svals[k]
-    return U, svals, V
+        if rel < JACOBI_SWEEP_TOL:
+            svals = np.sqrt(np.einsum("ij,ij->j", A.conj(), A).real)
+            return svals[np.argsort(-svals, kind="stable")]
+    raise NumericalFailureError(
+        f"Jacobi sweeps exhausted ({JACOBI_MAX_SWEEPS}); off-diagonal mass {rel:.3e}",
+        achieved=rel,
+    )
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -258,12 +233,12 @@ def singular_values(op: TruncatedOperator | np.ndarray, rank_tol: float = 1e-12)
     matrix = op.entries if isinstance(op, TruncatedOperator) else np.asarray(op)
     if matrix.shape[0] > 4096:
         raise ValueError("singular value decomposition capped at dimension 4096")
-    _, svals, _ = jacobi_svd(matrix)
+    svals = jacobi_svd(matrix)
     if svals.size and svals[0] > 0.0:
         rank = int(np.sum(svals > rank_tol * svals[0]))
     else:
         rank = 0
-    return SpectrumReport(svals=svals, numerical_rank=rank, fit=None)
+    return SpectrumReport(svals=svals, numerical_rank=rank)
 
 
 def decay_fit(report: SpectrumReport, window: tuple[int, int]) -> DecayFit:
@@ -295,7 +270,7 @@ def carleson_bound_estimate(
     truncation; saturation of the nondecreasing sequence indicates a
     k-Carleson bound, unbounded growth refutes one.
     """
-    if not is_nonnegative(base):
+    if not base.nonnegative:
         raise UnsupportedSymbolError("the bound probe needs a nonnegative measure")
     if k < 0:
         raise ValueError("derivative order must be nonnegative")

@@ -18,7 +18,7 @@ from .berezin import berezin_series, weighted_berezin_radial
 from .measures import CircleRadialDerivative, CircleUniform, PointMass, RadialPower, SymbolSpec
 from .numutil import int_factorial
 from .operators import assemble
-from .spectral import decay_fit, jacobi_svd, singular_values, trace_closed_form, trace_report
+from .spectral import decay_fit, singular_values, trace_closed_form, trace_report
 
 __all__ = ["OracleCase", "CaseResult", "VerifyReport", "run_examples", "built_in_cases", "FORMULA_COVERAGE"]
 
@@ -223,7 +223,7 @@ def _run_rank_one_case(case: OracleCase) -> tuple[tuple[dict, ...], float | None
     for alpha, beta in ((0, 0), (1, 1), (1, 0)):
         symbol = SymbolSpec(alpha, beta, PointMass(z0))
         op = assemble(symbol, 128)
-        _, svals, _ = jacobi_svd(op.entries)
+        svals = singular_values(op).svals
         ratio = float(svals[1] / svals[0])
         norm_product = kernel_deriv_norm(z0, alpha) * kernel_deriv_norm(z0, beta)
         row = {

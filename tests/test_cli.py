@@ -188,6 +188,31 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_boolean_derivative_orders_rejected(capsys):
+    # JSON true/false are ints to isinstance; they are not derivative orders
+    bad = '{"alpha":true,"beta":true,"measure":{"kind":"circle_uniform","r0":0.5}}'
+    code, out, err = run(capsys, "trace", "--symbol", bad)
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage"
+    assert error["message"] == "alpha and beta must be integers"
+
+
+def test_spectrum_explicit_bad_window_exits_one(capsys):
+    symbol = '{"alpha":0,"beta":0,"measure":{"kind":"circle_uniform","r0":0.5}}'
+    code, out, err = run(capsys, "spectrum", "--symbol", symbol, "--dim", "16", "--window", "12", "3")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert "fit window must span more than 4 indices" in error["message"]
+    # the default window of a degenerate spectrum still falls back to no fit
+    code, out, _ = run(capsys, "spectrum", "--symbol", symbol, "--dim", "8")
+    assert code == 0
+    assert json.loads(out)["fit"] is None
+
+
 def test_unknown_keys_rejected(capsys):
     bad = '{"alpha":0,"beta":0,"measure":{"kind":"circle_uniform","r0":0.5,"radius":2}}'
     code, _, err = run(capsys, "trace", "--symbol", bad)

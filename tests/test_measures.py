@@ -20,8 +20,6 @@ from bergtoep.measures import (
     SymbolSpec,
     boundary_weight_integral,
     carleson_integral,
-    is_nonnegative,
-    is_radial,
     moment,
 )
 
@@ -157,10 +155,10 @@ def test_finiteness_report_shape_is_enforced():
 
 
 def test_radial_and_sign_classifiers():
-    assert is_radial(RadialPower(1.0)) and is_radial(CircleRadialDerivative(0.3))
-    assert not is_radial(PointMass(0.3))
-    assert is_nonnegative(PointMass(0.3)) and not is_nonnegative(CircleRadialDerivative(0.3))
-    assert not is_nonnegative(Combination(((-1.0, PointMass(0.0)),)))
+    assert RadialPower(1.0).radial and CircleRadialDerivative(0.3).radial
+    assert not PointMass(0.3).radial
+    assert PointMass(0.3).nonnegative and not CircleRadialDerivative(0.3).nonnegative
+    assert not Combination(((-1.0, PointMass(0.0)),)).nonnegative
 
 
 # ------------------------------------------------------------ property tests
