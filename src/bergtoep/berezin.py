@@ -265,7 +265,7 @@ def _berezin_values(symbol, z, tol: float):
 
 
 def _check_fence(z: complex) -> None:
-    if abs(z) > 1.0 - BOUNDARY_MARGIN:
+    if not abs(z) <= 1.0 - BOUNDARY_MARGIN:  # NaN fails every comparison
         raise BoundaryError(
             f"transform evaluation needs |z| <= {1.0 - BOUNDARY_MARGIN}, got {abs(z)}"
         )
@@ -275,8 +275,8 @@ def berezin_series(symbol, z: complex, tol: float = 1e-10) -> BerezinSample:
     """Berezin transform of the ``SymbolSpec`` at z by the analytic route
     (series or closed form)."""
     z = complex(z)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     _check_fence(z)
     value, est = _berezin_values(symbol, np.array([z]), tol)
     return BerezinSample(z=z, value=complex(value[0]), route="series", est_error=float(est[0]))
@@ -284,10 +284,13 @@ def berezin_series(symbol, z: complex, tol: float = 1e-10) -> BerezinSample:
 
 def berezin_matrix(op, z: complex) -> BerezinSample:
     """Berezin transform of a truncated operator: the quadratic form on the
-    normalized kernel's coefficient vector a_n(z) = (1-|z|^2) sqrt(n+1) conj(z)^n.
+    normalized kernel's coefficient vector a_n(z) = (1-|z|^2) sqrt(n+1) conj(z)^n,
+    summed over the operator's (c, factor) pairs in O(dim): sign conj(row . a)
+    (col . a) for rank one, the sum of conj(a_n) v_n a_(n+offset) for a band.
 
     The error estimate covers the discarded kernel tail beyond the
-    truncation, scaled by the truncation's Frobenius norm.
+    truncation, scaled by sum |c| ||F||: the Frobenius norm for one atom
+    (||row|| ||col||, or ||v||) and a triangle bound above it for a combination.
     """
     z = complex(z)
     _check_fence(z)
@@ -295,8 +298,8 @@ def berezin_matrix(op, z: complex) -> BerezinSample:
     t = (z * z.conjugate()).real
     idx = np.arange(n)
     coeff = (1.0 - t) * np.sqrt(idx + 1.0) * z.conjugate() ** idx
-    value = complex(np.vdot(coeff, op.entries @ coeff))
-    fro = float(np.linalg.norm(op.entries))
+    value = complex(sum(c * factor.form(coeff) for c, factor in op.factors))
+    fro = float(sum(abs(c) * factor.norm() for c, factor in op.factors))
     # squared norm of the kernel coefficients beyond the truncation
     tail_sq = t**n * ((n + 1.0) - n * t)
     est = 2.0 * fro * math.sqrt(max(tail_sq, 0.0)) + 1e-15 * fro
@@ -414,8 +417,8 @@ def invariant_integral(
     the new nodes of every radius of the panel still open, at most
     24 x 2048 points.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     x16, w16 = gauss_legendre(16)
     x8, w8 = gauss_legendre(8)
     nodes = np.concatenate([x16, x8])

@@ -102,9 +102,9 @@ def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> 
     w = complex(w)
     if alpha < 0 or beta < 0:
         raise ValueError("derivative orders must be nonnegative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if abs(w) > 1.0 - BOUNDARY_MARGIN:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+    if not abs(w) <= 1.0 - BOUNDARY_MARGIN:
         raise BoundaryError(
             f"derivative kernel series needs |w| <= {1.0 - BOUNDARY_MARGIN}, got |w|={abs(w)}"
         )

@@ -106,9 +106,19 @@ def parse_complex(text: str) -> complex:
     """Accept 'a+bi' literals (also plain reals and 'bi')."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError as exc:
         raise UsageError(f"cannot parse complex literal {text!r}") from exc
+    if not np.isfinite(value):
+        raise UsageError(f"complex literal {text!r} is not finite")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --tol and --rank-tol: NaN and inf are usage errors."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------- serialization
@@ -411,14 +421,14 @@ def _build_parser() -> _Parser:
         p.add_argument("--symbol", required=True, help="path to a symbol JSON file, or inline JSON")
         if with_dim:
             p.add_argument("--dim", type=int, default=256, help="truncation dimension (default 256)")
-        p.add_argument("--tol", type=float, default=1e-8, help="tolerance (default 1e-8)")
+        p.add_argument("--tol", type=_finite_float, default=1e-8, help="tolerance (default 1e-8)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("trace", help="trace by all three routes with agreement check")
     common(p)
     p = sub.add_parser("spectrum", help="singular values and exponential decay fit")
     common(p)
-    p.add_argument("--rank-tol", type=float, default=1e-12, dest="rank_tol")
+    p.add_argument("--rank-tol", type=_finite_float, default=1e-12, dest="rank_tol")
     p.add_argument("--window", type=int, nargs=2, metavar=("N0", "N1"))
     p = sub.add_parser("berezin", help="Berezin transform by series and matrix routes")
     common(p)

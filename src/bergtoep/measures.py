@@ -100,6 +100,83 @@ def _conj_transpose_tiles(out: np.ndarray, mirror: bool) -> None:
                 upper[...], lower[...] = lower.T.conj(), upper.T.conj()
 
 
+@dataclass(frozen=True, eq=False)
+class _Band:
+    """One band: entries[n, n + offset] = values[n], with offset = alpha - beta
+    and values zero on the rows whose band entry leaves the truncation."""
+
+    offset: int
+    values: np.ndarray
+
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        dim = self.values.size
+        rows = np.arange(max(0, -self.offset), min(dim, dim - self.offset))
+        return rows, rows + self.offset
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.values.size,) * 2, dtype=complex)
+        rows, cols = self._index()
+        out[rows, cols] = self.values[rows]
+        return out
+
+    def form(self, a: np.ndarray) -> complex:
+        rows, cols = self._index()
+        return complex(np.vdot(a[rows], self.values[rows] * a[cols]))
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.values))
+
+
+@dataclass(frozen=True, eq=False)
+class _RankOne:
+    """Rank one: entries[n, m] = sign conj(row[n]) col[m], with order = alpha - beta.
+
+    Densified in the canonical orientation (order <= 0), and conjugate-
+    transposed by tiles for order > 0, which keeps adjoint coherence bitwise.
+    At order 0 the adjoint is the same symbol, so the matrix is made
+    Hermitian to the bit: the upper triangle is mirrored and the diagonal
+    kept real (fused multiplies otherwise leave ulps).
+    """
+
+    sign: float
+    row: np.ndarray
+    col: np.ndarray
+    order: int
+
+    def dense(self) -> np.ndarray:
+        left, right = (self.col, self.row) if self.order > 0 else (self.row, self.col)
+        out = np.outer(left.conjugate(), right)
+        np.multiply(self.sign, out, out=out)
+        if self.order >= 0:
+            _conj_transpose_tiles(out, mirror=self.order == 0)
+        if self.order == 0:
+            np.fill_diagonal(out.imag, 0.0)
+        return out
+
+    def form(self, a: np.ndarray) -> complex:
+        u, v = complex(np.dot(self.row, a)), complex(np.dot(self.col, a))
+        return self.sign * (u.conjugate() * v)  # exactly real when row is col
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.row)) * float(np.linalg.norm(self.col))
+
+
+def _densify(factors: tuple, dim: int, combine: bool = False) -> np.ndarray:
+    """Dense entries[n, m] of the (c, factor) pairs.  An atom's one factor is
+    built as it is.  A ``combine`` sum starts from zeros, which fixes the
+    signs of zeros, and scales each term in place, c on the left as in
+    c * term, freeing it before the next is built."""
+    if not combine:
+        ((_, factor),) = factors
+        return factor.dense()
+    out = np.zeros((dim, dim), dtype=complex)
+    for c, factor in factors:
+        term = factor.dense()
+        out += np.multiply(c, term, out=term)
+        del term
+    return out
+
+
 class _Atom:
     """Defaults shared by the atomic kinds.
 
@@ -111,9 +188,11 @@ class _Atom:
       ``UnsupportedSymbolError``);
     - ``entry(alpha, beta, n, m)``: one matrix element, the form applied
       to (e_m, e_n);
+    - ``factors(alpha, beta, dim)``: the truncation as (c, factor) pairs,
+      each factor a band (``_Band``) or rank one (``_RankOne``); an atom
+      gives one pair with c = 1, and nothing dim^2 is built;
     - ``matrix(alpha, beta, dim)``: the dense truncation entries[n, m],
-      written into one 16 dim^2 byte buffer (268 MB at the 4096 cap),
-      with no index array of that size;
+      the factors densified by the one ``_densify``;
     - ``diagonal_trace(alpha, beta, dim)``: (partial diagonal sum, tail
       bound);
     - ``closed_trace(alpha, beta, tol)``: the pairing with the derivative
@@ -145,6 +224,9 @@ class _Atom:
             * self.moment(m - alpha, n - beta)
         )
 
+    def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
+        return _densify(self.factors(alpha, beta, dim), dim)
+
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         # the transform carries a (1-|z|^2)^2 factor that cancels the
         # invariant weight, leaving the derivative-order factorials
@@ -173,20 +255,17 @@ class _Radial(_Atom):
             return 0.0 + 0.0j
         return complex(self.radial_moment(p))
 
-    def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
-        sign = _sign(alpha, beta)
-        out = np.zeros((dim, dim), dtype=complex)
-        for n in range(dim):
+    def factors(self, alpha: int, beta: int, dim: int) -> tuple:
+        values = np.zeros(dim)
+        for n in range(beta, min(dim, dim - alpha + beta)):  # column m inside
             m = n - beta + alpha
-            if m < alpha or m >= dim or n < beta:
-                continue
-            out[n, m] = (
-                sign
+            values[n] = (
+                _sign(alpha, beta)
                 * basis_deriv_coeff(m, alpha)
                 * basis_deriv_coeff(n, beta)
                 * self.radial_moment(m - alpha)
             )
-        return out
+        return ((1.0, _Band(alpha - beta, values)),)
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
         if alpha != beta:
@@ -356,31 +435,16 @@ class PointMass(_Atom):
     def moment(self, p: int, q: int) -> complex:
         return self.z0**p * self.z0.conjugate() ** q
 
-    def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
-        if alpha > beta:
-            # canonical orientation; the other is its exact conjugate
-            # transpose, which keeps adjoint coherence bitwise
-            out = self.matrix(beta, alpha, dim)
-            _conj_transpose_tiles(out, mirror=False)
-            return out
-        z0 = self.z0
-        m = np.arange(dim)
-        cm = np.array([basis_deriv_coeff(int(i), alpha) for i in m])
-        cn = np.array([basis_deriv_coeff(int(i), beta) for i in m])
-        zpow_m = np.array([z0 ** (i - alpha) if i >= alpha else 0.0 for i in m], dtype=complex)
-        zpow_n = np.array([z0 ** (i - beta) if i >= beta else 0.0 for i in m], dtype=complex)
-        col = cm * zpow_m          # input-side vector, index m
-        row = cn * zpow_n          # output-side vector, index n
-        # entries[n, m] = sign * col[m] * conj(row[n]): a rank-one matrix
-        out = np.outer(row.conjugate(), col)
-        np.multiply(_sign(alpha, beta), out, out=out)
-        if alpha == beta:
-            # the adjoint is the same symbol, so the matrix must be
-            # Hermitian to the bit: mirror the upper triangle and keep
-            # the diagonal real (fused multiplies otherwise leave ulps)
-            _conj_transpose_tiles(out, mirror=True)
-            np.fill_diagonal(out.imag, 0.0)
-        return out
+    def factors(self, alpha: int, beta: int, dim: int) -> tuple:
+        z0, idx = self.z0, np.arange(dim)
+
+        def vector(order: int) -> np.ndarray:  # c(i, order) z0^(i - order), 0 below the order
+            coeff = np.array([basis_deriv_coeff(int(i), order) for i in idx])
+            return coeff * np.array([z0 ** (i - order) if i >= order else 0.0 for i in idx], dtype=complex)
+
+        row = vector(beta)  # output side, index n
+        col = row if alpha == beta else vector(alpha)  # input side, index m
+        return ((1.0, _RankOne(_sign(alpha, beta), row, col, alpha - beta)),)
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
         j0 = max(alpha, beta)
@@ -465,10 +529,8 @@ class CircleRadialDerivative(_Atom):
             return 0.0 + 0.0j
         return complex(self._diagonal(n))
 
-    def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        np.fill_diagonal(out, self._diagonal(np.arange(dim)))
-        return out
+    def factors(self, alpha: int, beta: int, dim: int) -> tuple:
+        return ((1.0, _Band(0, self._diagonal(np.arange(dim)))),)
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
         value = complex(math.fsum(self._diagonal(np.arange(dim))))
@@ -562,16 +624,11 @@ class Combination:
     def entry(self, alpha: int, beta: int, n: int, m: int) -> complex:
         return self._sum("entry", (alpha, beta, n, m), 0.0 + 0.0j)
 
+    def factors(self, alpha: int, beta: int, dim: int) -> tuple:
+        return tuple((c * k, f) for c, atom in self._nonzero() for k, f in atom.factors(alpha, beta, dim))
+
     def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
-        # each term is scaled in place, c on the left as in c * term, and
-        # freed before the next is built; the zero start fixes the signs
-        # of zeros
-        out = np.zeros((dim, dim), dtype=complex)
-        for c, atom in self._nonzero():
-            term = atom.matrix(alpha, beta, dim)
-            out += np.multiply(c, term, out=term)
-            del term
-        return out
+        return _densify(self.factors(alpha, beta, dim), dim, combine=True)
 
     def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
         return self._sum("diagonal_trace", (alpha, beta, dim), 0.0 + 0.0j, 0.0)

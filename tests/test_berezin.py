@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from bergtoep.berezin import (
     invariant_integral,
     weighted_berezin_radial,
 )
+from bergtoep.bergman import d_alpha_beta_eval
 from bergtoep.errors import BoundaryError
 from bergtoep.measures import (
     CircleRadialDerivative,
@@ -277,6 +279,54 @@ def test_boundary_guards():
         berezin_matrix(assemble(SymbolSpec(0, 0, PointMass(0.0)), 8), 1.0 - 1e-9)
     with pytest.raises(BoundaryError):
         weighted_berezin_radial((0.0, 0.0), 0, 1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex(0.3, math.nan), complex(math.inf, 0.0)])
+def test_non_finite_points_are_outside_the_fence(z):
+    symbol = SymbolSpec(1, 1, PointMass(0.3))
+    with pytest.raises(BoundaryError):
+        berezin_series(symbol, z)
+    with pytest.raises(BoundaryError):
+        berezin_matrix(assemble(symbol, 8), z)
+    with pytest.raises(BoundaryError):
+        weighted_berezin_radial((0.0, 0.0), 0, z)
+    with pytest.raises(BoundaryError):
+        d_alpha_beta_eval(z, 1, 1)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_tolerances_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        berezin_series(SymbolSpec(1, 1, RadialPower(s=4.0)), 0.3, tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        d_alpha_beta_eval(0.3, 1, 1, tol=tol)
+    with pytest.raises(ValueError, match="finite and positive"):
+        invariant_integral(lambda z: 1.0, True, tol=tol)
+
+
+_BUFFER_BYTES = 16.0 * 4096 * 4096
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        PointMass(0.6 + 0.3j),
+        RadialPower(4.0),
+        Combination(((1.0, PointMass(0.6 + 0.3j)), (0.5, CircleUniform(0.5)))),
+    ],
+    ids=["point_mass", "radial_power", "point_plus_circle"],
+)
+def test_matrix_route_at_the_cap_builds_no_dense_buffer(base):
+    tracemalloc.start()
+    try:
+        op = assemble(SymbolSpec(1, 1, base), 4096)
+        for z in (0.3, 0.5 + 0.4j, 0.95):
+            berezin_matrix(op, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * _BUFFER_BYTES
+    assert "entries" not in vars(op)
 
 
 # every atom kind, a combination, alpha != beta, z = 0, and points on both

@@ -252,6 +252,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+POINT = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.3,"im":0}}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("berezin", "--symbol", POINT, "--z=nan"),
+        ("berezin", "--symbol", POINT, "--z=0.3+nani"),
+        ("berezin", "--symbol", POINT, "--z=0.3", "--tol", "nan"),
+        ("berezin", "--symbol", POINT, "--z=0.3", "--tol", "inf"),
+        ("trace", "--symbol", POINT, "--tol", "nan"),
+        ("spectrum", "--symbol", POINT, "--dim", "8", "--rank-tol", "nan"),
+        ("spectrum", "--symbol", POINT, "--dim", "8", "--rank-tol=-inf"),
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
 def test_parse_complex_literals():
     assert parse_complex("0.3") == 0.3
     assert parse_complex("0.3+0.1i") == 0.3 + 0.1j
@@ -259,6 +281,9 @@ def test_parse_complex_literals():
     assert parse_complex("0.5i") == 0.5j
     with pytest.raises(ValueError):
         parse_complex("robot")
+    for text in ("nan", "0.3+nani", "1e400"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_complex(text)
 
 
 def test_symbol_config_round_trip_examples():

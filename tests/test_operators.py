@@ -244,3 +244,48 @@ def _peak_over_buffer(build, dim: int) -> float:
 def test_matrix_assembles_in_one_buffer(base, alpha, beta, bound):
     dim = 1024
     assert _peak_over_buffer(lambda: base.matrix(alpha, beta, dim), dim) <= bound
+
+
+def _reference_band_matrix(base, alpha: int, beta: int, dim: int) -> np.ndarray:
+    """The radial truncation by the entry-by-entry loop of the dense
+    build: the values the band densify must match to the bit."""
+    sign = -1.0 if (alpha + beta) % 2 else 1.0
+    out = np.zeros((dim, dim), dtype=complex)
+    for n in range(dim):
+        m = n - beta + alpha
+        if m < alpha or m >= dim or n < beta:
+            continue
+        out[n, m] = (
+            sign
+            * basis_deriv_coeff(m, alpha)
+            * basis_deriv_coeff(n, beta)
+            * base.radial_moment(m - alpha)
+        )
+    return out
+
+
+BAND_DIMS = (1, 2, 3, 63, 64, 65, 257)
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 1), (1, 2)])
+def test_band_matrix_bitwise(alpha, beta):
+    # circle moments underflow to zero at large n, which the sign makes -0.0
+    for base in (RadialPower(s=4.0, a=0.5), CircleUniform(0.05)):
+        for dim in BAND_DIMS:
+            got = base.matrix(alpha, beta, dim)
+            assert got.tobytes() == _reference_band_matrix(base, alpha, beta, dim).tobytes()
+
+
+@pytest.mark.parametrize("alpha,beta", [(1, 1), (2, 1), (1, 2)])
+def test_combination_matrix_with_band_terms_bitwise(alpha, beta):
+    terms = ((-0.75 + 0.25j, RadialPower(s=4.0)), (1.5 - 0.5j, PointMass(0.3 - 0.2j)), (2.0, CircleUniform(0.6)))
+    for dim in BAND_DIMS:
+        reference = np.zeros((dim, dim), dtype=complex)
+        for c, base in terms:
+            if base.radial:
+                term = _reference_band_matrix(base, alpha, beta, dim)
+            else:
+                term = _reference_point_matrix(base.z0, alpha, beta, dim)
+            reference += c * term
+        got = Combination(terms).matrix(alpha, beta, dim)
+        assert got.tobytes() == reference.tobytes()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bergtoep.measures as measures
+from bergtoep.berezin import berezin_matrix
 from bergtoep.cli import main, symbol_from_config
 from bergtoep.errors import UnsupportedSymbolError
 from bergtoep.measures import (
@@ -25,6 +26,7 @@ from bergtoep.measures import (
     SymbolSpec,
     measure_from_config,
 )
+from bergtoep.operators import assemble
 from bergtoep.spectral import trace_matrix, trace_report
 
 SRC = Path(measures.__file__).resolve().parent
@@ -170,3 +172,73 @@ def test_non_string_kind_is_a_usage_error(capsys):
     assert code == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert error == {"type": "usage", "message": "unknown measure kind []"}
+
+
+# every kind's factors, plus combinations with alpha != beta and with a
+# distribution
+FACTOR_INSTANCES = INSTANCES + [
+    pytest.param(RadialPower(s=3.0), 1, 2, id="radial_power_12"),
+    pytest.param(PointMass(0.3 - 0.2j), 1, 2, id="point_mass_12"),
+    pytest.param(PointMass(0.5), 1, 1, id="point_mass_11"),
+    pytest.param(
+        Combination(((1.0 + 1.0j, PointMass(0.3 + 0.1j)), (2.0, RadialPower(s=5.0)), (0.0, CircleUniform(0.4)))),
+        2, 1, id="combination_21",
+    ),
+]
+
+
+def _kernel_vector(z: complex, dim: int) -> np.ndarray:
+    t = abs(z) ** 2
+    return (1.0 - t) * np.sqrt(np.arange(dim) + 1.0) * z.conjugate() ** np.arange(dim)
+
+
+def _sum_of_factors(factors, dim: int) -> np.ndarray:
+    """The (c, factor) pairs summed naively from their documented shapes:
+    a band entries[n, n + offset] = values[n], a rank one
+    entries[n, m] = sign conj(row[n]) col[m]."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for c, factor in factors:
+        if hasattr(factor, "offset"):
+            for n in range(dim):
+                if 0 <= n + factor.offset < dim:
+                    out[n, n + factor.offset] += c * factor.values[n]
+        else:
+            out += c * factor.sign * np.outer(factor.row.conj(), factor.col)
+    return out
+
+
+@pytest.mark.parametrize("base,alpha,beta", FACTOR_INSTANCES)
+def test_factors_densify_to_the_entries(base, alpha, beta):
+    for dim in (1, 2, 63, 64, 65, 256):
+        factors = base.factors(alpha, beta, dim)
+        assert len(factors) == sum(1 for c, _ in getattr(base, "terms", [(1.0, base)]) if c != 0)
+        naive = _sum_of_factors(factors, dim)
+        matrix = base.matrix(alpha, beta, dim)
+        assert matrix.shape == (dim, dim) and matrix.dtype == complex
+        # every element at the small dims; at 256 the edges and a grid
+        index = range(dim) if dim < 100 else sorted({*range(0, dim, 17), *range(dim - 3, dim)})
+        for n in index:
+            for m in index:
+                element = base.entry(alpha, beta, n, m)
+                assert element == pytest.approx(matrix[n, m], rel=1e-12, abs=1e-14), (dim, n, m)
+                assert element == pytest.approx(naive[n, m], rel=1e-12, abs=1e-14), (dim, n, m)
+
+
+@pytest.mark.parametrize("base,alpha,beta", FACTOR_INSTANCES)
+def test_factor_form_and_scale_match_the_dense_matrix(base, alpha, beta):
+    dim = 128
+    entries = base.matrix(alpha, beta, dim)
+    op = assemble(SymbolSpec(alpha, beta, base), dim)
+    dense_fro = float(np.linalg.norm(entries))
+    scale = sum(abs(c) * factor.norm() for c, factor in op.factors)
+    if base.kind == "combination":
+        # the triangle inequality: never below the dense norm
+        assert scale >= dense_fro * (1.0 - 1e-14)
+    else:
+        assert scale == pytest.approx(dense_fro, rel=1e-14)
+    for z in (0.0, 0.3 + 0.4j, 0.95):
+        a = _kernel_vector(z, dim)
+        dense = complex(np.vdot(a, entries @ a))
+        got = berezin_matrix(op, z).value
+        assert abs(got - dense) <= 1e-14 * dense_fro * float(np.vdot(a, a).real)
+    assert "entries" not in vars(op)
