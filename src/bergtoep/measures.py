@@ -50,26 +50,46 @@ def _sign(alpha: int, beta: int) -> float:
     return -1.0 if (alpha + beta) % 2 else 1.0
 
 
-def _geometric_diag_tail(term0: float, ratio_at, start: int) -> float:
-    """Bound sum of |d_n| for n >= start when the term ratios decrease.
+def _kernel_diag_tail(x: float, alpha: int, beta: int, dim: int) -> float:
+    """Bound the sum over n >= dim of the D(alpha, beta) diagonal
+    (n+1) [n!/(n-alpha)!] [n!/(n-beta)!] x^(n-(alpha+beta)/2): a point mass
+    with |z0|^2 = x, and, at alpha = beta, the circle of radius sqrt(x).
 
-    Walks past the pre-asymptotic head where the ratio still exceeds 1;
+    Walks past the pre-asymptotic head where the term ratio still exceeds 1;
     once below 1 the decreasing ratio itself is a valid geometric bound,
     so any finite bound ends the walk.  +inf when the walk is exhausted.
     """
-    # every caller's ratio decreases in n (the D(alpha, beta) ratio times
-    # |z0|^2, the circle band ratio, (n+2)/n times r0^2): if the last ratio
-    # the walk may reach is still >= 1, so is each one before it, and the
-    # walk would end exhausted
+
+    def ratio_at(n: int) -> float:
+        return d_alpha_beta_ratio(n, alpha, beta) * x
+
+    start = max(dim, alpha, beta)
+    # the ratio decreases in n: if the last one the walk may reach is still
+    # >= 1, so is each one before it, and the walk would end exhausted
     if ratio_at(start + SERIES_TERM_CAP - 1) >= 1.0:
         return math.inf
+    first = (
+        (start + 1.0)
+        * falling_factorial(start, alpha)
+        * falling_factorial(start, beta)
+        * x ** (start - (alpha + beta) / 2.0)
+    )
     try:
         head, tail = ratio_series(
-            [term0], lambda p, rows: np.array([ratio_at(start + p)]), sys.float_info.max
+            [first], lambda p, rows: np.array([ratio_at(start + p)]), sys.float_info.max
         )
     except NumericalFailureError:
         return math.inf
     return float(head[0] + tail[0])
+
+
+def _basis_coeffs(idx: np.ndarray, order: int) -> np.ndarray:
+    """``basis_deriv_coeff(i, order)`` at each i >= order of an int array,
+    to the bit: sqrt(i+1) times the falling factorial, factor by factor."""
+    falling = np.ones(idx.size)
+    for k in range(order):
+        falling *= idx - k
+    return np.sqrt(idx + 1.0) * falling
 
 
 _TILE = 64
@@ -126,6 +146,10 @@ class _Band:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
+    def trace(self) -> complex:
+        # only a zero-offset band meets the diagonal
+        return complex(math.fsum(self.values)) if self.offset == 0 else 0.0 + 0.0j
+
 
 @dataclass(frozen=True, eq=False)
 class _RankOne:
@@ -160,6 +184,10 @@ class _RankOne:
     def norm(self) -> float:
         return float(np.linalg.norm(self.row)) * float(np.linalg.norm(self.col))
 
+    def trace(self) -> complex:
+        diagonal = self.row.conjugate() * self.col
+        return self.sign * complex(math.fsum(diagonal.real), math.fsum(diagonal.imag))
+
 
 def _densify(factors: tuple, dim: int, combine: bool = False) -> np.ndarray:
     """Dense entries[n, m] of the (c, factor) pairs.  An atom's one factor is
@@ -189,12 +217,12 @@ class _Atom:
     - ``entry(alpha, beta, n, m)``: one matrix element, the form applied
       to (e_m, e_n);
     - ``factors(alpha, beta, dim)``: the truncation as (c, factor) pairs,
-      each factor a band (``_Band``) or rank one (``_RankOne``); an atom
-      gives one pair with c = 1, and nothing dim^2 is built;
+      each a band (``_Band``) or rank one (``_RankOne``) answering dense(),
+      form(a), norm() and trace(); an atom gives one pair with c = 1;
     - ``matrix(alpha, beta, dim)``: the dense truncation entries[n, m],
       the factors densified by the one ``_densify``;
-    - ``diagonal_trace(alpha, beta, dim)``: (partial diagonal sum, tail
-      bound);
+    - ``diagonal_tail(alpha, beta, dim)``: a bound on the sum of |entries[n, n]|
+      over n >= dim, the remainder of the trace the factors' ``trace()`` sum;
     - ``closed_trace(alpha, beta, tol)``: the pairing with the derivative
       kernel;
     - ``berezin(alpha, beta, z, t, tol)``: (values, error estimates) of
@@ -257,21 +285,14 @@ class _Radial(_Atom):
 
     def factors(self, alpha: int, beta: int, dim: int) -> tuple:
         values = np.zeros(dim)
-        for n in range(beta, min(dim, dim - alpha + beta)):  # column m inside
-            m = n - beta + alpha
-            values[n] = (
-                _sign(alpha, beta)
-                * basis_deriv_coeff(m, alpha)
-                * basis_deriv_coeff(n, beta)
-                * self.radial_moment(m - alpha)
-            )
+        n = np.arange(beta, min(dim, dim - alpha + beta))  # the rows whose column m is inside
+        values[n] = (
+            _sign(alpha, beta)
+            * _basis_coeffs(n - beta + alpha, alpha)
+            * _basis_coeffs(n, beta)
+            * np.array([self.radial_moment(p) for p in range(n.size)])
+        )
         return ((1.0, _Band(alpha - beta, values)),)
-
-    def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
-        if alpha != beta:
-            # the single band misses the diagonal entirely
-            return 0.0 + 0.0j, 0.0
-        return self._band_trace(alpha, dim)
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         if alpha != beta:
@@ -304,10 +325,11 @@ class RadialPower(_Radial):
     config_fields = ("s", "a")
 
     def __post_init__(self):
-        if not (self.s > -1.0):
-            raise ValueError(f"radial power weight needs s > -1, got s={self.s}")
-        if not (self.a > -1.0):
-            raise ValueError(f"radial power weight needs a > -1, got a={self.a}")
+        # NaN fails every comparison, and +inf the upper one
+        if not (-1.0 < self.s < math.inf):
+            raise ValueError(f"radial power weight needs finite s > -1, got s={self.s}")
+        if not (-1.0 < self.a < math.inf):
+            raise ValueError(f"radial power weight needs finite a > -1, got a={self.a}")
 
     @classmethod
     def from_config(cls, obj: dict):
@@ -322,41 +344,32 @@ class RadialPower(_Radial):
     def _diagonal_sum(self, alpha, beta, t, tol):
         return _radial_power_S(alpha, beta, self.s, self.a, t, tol)
 
-    def _band_trace(self, alpha: int, dim: int) -> tuple[complex, float]:
-        # the diagonal decays like n^(2 alpha - s): a power-law tail
+    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+        # the single band misses the diagonal unless alpha = beta; on it the
+        # entries decay like n^(2 alpha - s): a power-law tail
         s, a = self.s, self.a
-        d0 = (alpha + 1.0) * int_factorial(alpha) ** 2 * beta_integral(a + 1.0, s + 1.0)
-
-        def ratios(n_arr: np.ndarray) -> np.ndarray:
-            return (
-                (n_arr + 2.0)
-                / (n_arr + 1.0)
-                * ((n_arr + 1.0) / (n_arr + 1.0 - alpha)) ** 2
-                * (n_arr - alpha + a + 1.0)
-                / (n_arr - alpha + a + s + 2.0)
-            )
-
-        def diag_values(n_lo: int, n_hi: int, lead: float) -> np.ndarray:
-            n_arr = np.arange(n_lo, n_hi, dtype=float)
-            if n_arr.size == 0:
-                return np.zeros(0)
-            r = ratios(n_arr)
-            return lead * np.concatenate(([1.0], np.cumprod(r[:-1])))
-
-        d_head = diag_values(alpha, dim, d0)
-        value = complex(math.fsum(d_head))
+        if alpha != beta:
+            return 0.0
         if s - 2 * alpha - 1 <= 0.0:
-            return value, math.inf
+            return math.inf
         # the diagonal starts at n = alpha; a truncation below that misses it all
-        tail_start = max(dim, alpha)
-        d_start = float(d_head[-1] * ratios(np.array([dim - 1.0]))[0]) if dim > alpha else d0
-        m_far = max(8 * dim, 200_000)
-        d_tail = diag_values(tail_start, m_far, d_start)
-        head = float(math.fsum(d_tail))
+        start, m_far = max(dim, alpha), max(8 * dim, 200_000)
+        n = np.arange(start, m_far, dtype=float)
+        ratios = (
+            (n + 2.0)
+            / (n + 1.0)
+            * ((n + 1.0) / (n + 1.0 - alpha)) ** 2
+            * (n - alpha + a + 1.0)
+            / (n - alpha + a + s + 2.0)
+        )
+        first = self.entry(alpha, alpha, start, start).real
+        d_tail = first * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
+        # positive terms: a pairwise sum errs far less than the doubled remainder adds
+        head = float(np.sum(d_tail))
         # power-law remainder beyond the summed stretch, doubled for safety
         c_loc = -math.log(d_tail[-1] / d_tail[-2]) / math.log(m_far / (m_far - 1.0))
         remainder = d_tail[-1] * m_far / (c_loc - 1.0) if c_loc > 1.0 else math.inf
-        return value, head + 2.0 * remainder
+        return head + 2.0 * remainder
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         exponent = self.s - order
@@ -392,20 +405,9 @@ class CircleUniform(_Radial):
     def _diagonal_sum(self, alpha, beta, t, tol):
         return _circle_uniform_S(alpha, beta, self.r0, t, tol)
 
-    def _band_trace(self, alpha: int, dim: int) -> tuple[complex, float]:
-        y = self.r0**2
-        terms = [
-            (n + 1.0) * falling_factorial(n, alpha) ** 2 * y ** (n - alpha)
-            for n in range(alpha, dim)
-        ]
-        value = complex(math.fsum(terms))
-
-        def ratio_at(n_: int) -> float:
-            return (n_ + 2.0) / (n_ + 1.0) * ((n_ + 1.0) / (n_ + 1.0 - alpha)) ** 2 * y
-
-        n = max(dim, alpha)
-        first = (n + 1.0) * falling_factorial(n, alpha) ** 2 * y ** (n - alpha)
-        return value, _geometric_diag_tail(first, ratio_at, n)
+    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+        # the single band misses the diagonal unless alpha = beta
+        return _kernel_diag_tail(self.r0**2, alpha, alpha, dim) if alpha == beta else 0.0
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         return (1.0 - self.r0**2) ** (-order), math.inf
@@ -436,46 +438,20 @@ class PointMass(_Atom):
         return self.z0**p * self.z0.conjugate() ** q
 
     def factors(self, alpha: int, beta: int, dim: int) -> tuple:
-        z0, idx = self.z0, np.arange(dim)
+        idx = np.arange(dim)
 
         def vector(order: int) -> np.ndarray:  # c(i, order) z0^(i - order), 0 below the order
-            coeff = np.array([basis_deriv_coeff(int(i), order) for i in idx])
-            return coeff * np.array([z0 ** (i - order) if i >= order else 0.0 for i in idx], dtype=complex)
+            # numpy's integer powers of a complex scalar are Python's, to the bit
+            out = _basis_coeffs(idx, order) * np.power(np.complex128(self.z0), np.maximum(idx - order, 0))
+            out[:order] = 0.0
+            return out
 
         row = vector(beta)  # output side, index n
         col = row if alpha == beta else vector(alpha)  # input side, index m
         return ((1.0, _RankOne(_sign(alpha, beta), row, col, alpha - beta)),)
 
-    def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
-        j0 = max(alpha, beta)
-        z0 = self.z0
-        x = (z0 * z0.conjugate()).real
-        terms = []
-        for n in range(j0, dim):
-            terms.append(
-                math.sqrt(n + 1.0)
-                * falling_factorial(n, alpha)
-                * math.sqrt(n + 1.0)
-                * falling_factorial(n, beta)
-                * z0 ** (n - alpha)
-                * z0.conjugate() ** (n - beta)
-            )
-        value = _sign(alpha, beta) * complex(
-            math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)
-        )
-
-        # the diagonal terms are those of the D(alpha, beta) series at z0
-        def ratio_at(n_: int) -> float:
-            return d_alpha_beta_ratio(n_, alpha, beta) * x
-
-        n = max(dim, j0)
-        first = (
-            (n + 1.0)
-            * falling_factorial(n, alpha)
-            * falling_factorial(n, beta)
-            * x ** (n - (alpha + beta) / 2.0)
-        )
-        return value, _geometric_diag_tail(first, ratio_at, n)
+    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+        return _kernel_diag_tail((self.z0 * self.z0.conjugate()).real, alpha, beta, dim)
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         return _sign(alpha, beta) * d_alpha_beta_eval(self.z0, alpha, beta, tol)
@@ -532,15 +508,9 @@ class CircleRadialDerivative(_Atom):
     def factors(self, alpha: int, beta: int, dim: int) -> tuple:
         return ((1.0, _Band(0, self._diagonal(np.arange(dim)))),)
 
-    def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
-        value = complex(math.fsum(self._diagonal(np.arange(dim))))
-        y = self.r0**2
-
-        def ratio_at(n_: int) -> float:
-            return (n_ + 1.0) / n_ * (n_ + 2.0) / (n_ + 1.0) * y
-
-        first = 2.0 * dim * (dim + 1.0) * self.r0 ** (2 * dim - 1)
-        return value, _geometric_diag_tail(first, ratio_at, max(dim, 1))
+    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+        # |diagonal| (n+1) 2n r0^(2n-1) is twice the point-mass (1, 0) one at |z0| = r0
+        return 2.0 * _kernel_diag_tail(self.r0**2, 1, 0, dim)
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         r0 = self.r0
@@ -581,7 +551,9 @@ class Combination:
                 raise ValueError("combination terms must be (coefficient, measure) pairs")
             if not isinstance(base, _Atom):
                 raise ValueError(f"combination terms must be atomic measures, got {type(base).__name__}")
-            normalized.append((complex(coeff), base))
+            if not np.isfinite(coeff := complex(coeff)):
+                raise ValueError(f"combination coefficients must be finite, got {coeff}")
+            normalized.append((coeff, base))
         if not normalized:
             raise ValueError("combination must have at least one term")
         object.__setattr__(self, "terms", tuple(normalized))
@@ -630,8 +602,8 @@ class Combination:
     def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
         return _densify(self.factors(alpha, beta, dim), dim, combine=True)
 
-    def diagonal_trace(self, alpha: int, beta: int, dim: int) -> tuple[complex, float]:
-        return self._sum("diagonal_trace", (alpha, beta, dim), 0.0 + 0.0j, 0.0)
+    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+        return sum((abs(c) * atom.diagonal_tail(alpha, beta, dim) for c, atom in self._nonzero()), 0.0)
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         return self._sum("closed_trace", (alpha, beta, tol), 0.0 + 0.0j)

@@ -23,7 +23,7 @@ MAX_DIMENSION = 4096
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """N x N truncation of a Toeplitz operator, with symbol metadata.
+    """N x N truncation of a Toeplitz operator, 1 <= N <= ``MAX_DIMENSION``.
 
     ``factors`` and the dense ``entries`` are each built on first read.
     ``is_radial_band`` records the single-diagonal structure of rotation
@@ -33,8 +33,20 @@ class TruncatedOperator:
 
     dim: int
     symbol: SymbolSpec
-    is_radial_band: bool = False
-    is_hermitian: bool = False
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("truncation dimension must be positive")
+        if self.dim > MAX_DIMENSION:
+            raise ValueError(f"truncation dimension capped at {MAX_DIMENSION}")
+
+    @property
+    def is_radial_band(self) -> bool:
+        return self.symbol.base.radial
+
+    @property
+    def is_hermitian(self) -> bool:
+        return self.symbol.alpha == self.symbol.beta and self.symbol.base.real
 
     @cached_property
     def factors(self) -> tuple:
@@ -61,17 +73,7 @@ def entry(symbol: SymbolSpec, n: int, m: int) -> complex:
 
 def assemble(symbol: SymbolSpec, dim: int) -> TruncatedOperator:
     """Truncation of the operator to 0 <= n, m < dim, built when first read."""
-    if dim < 1:
-        raise ValueError("truncation dimension must be positive")
-    if dim > MAX_DIMENSION:
-        raise ValueError(f"truncation dimension capped at {MAX_DIMENSION}")
-    base = symbol.base
-    return TruncatedOperator(
-        dim=dim,
-        symbol=symbol,
-        is_radial_band=base.radial,
-        is_hermitian=(symbol.alpha == symbol.beta) and base.real,
-    )
+    return TruncatedOperator(dim, symbol)
 
 
 def adjoint_symbol(symbol: SymbolSpec) -> SymbolSpec:

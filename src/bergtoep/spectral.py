@@ -105,15 +105,16 @@ def trace_closed_form(symbol: SymbolSpec, tol: float = 1e-10) -> complex:
 
 
 def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
-    """Partial diagonal sum of the matrix realization, with a tail estimate.
+    """Diagonal sum of the truncation, read from its factors, with a bound
+    on the rest of the diagonal.
 
     The tail is geometric for compactly supported bases and a power-law
     integral bound for radial power weights (where the diagonal decays
     like n^(2 alpha - s)); it is +inf when the diagonal series diverges.
+    ``assemble`` checks the dimension, so the 4096 cap holds here too.
     """
-    if dim < 1:
-        raise ValueError("truncation dimension must be positive")
-    return symbol.base.diagonal_trace(symbol.alpha, symbol.beta, dim)
+    value = sum(c * factor.trace() for c, factor in assemble(symbol, dim).factors)
+    return complex(value), symbol.base.diagonal_tail(symbol.alpha, symbol.beta, dim)
 
 
 def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float]:

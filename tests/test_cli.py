@@ -265,6 +265,17 @@ POINT = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.3,"im":0}}'
         ("trace", "--symbol", POINT, "--tol", "nan"),
         ("spectrum", "--symbol", POINT, "--dim", "8", "--rank-tol", "nan"),
         ("spectrum", "--symbol", POINT, "--dim", "8", "--rank-tol=-inf"),
+    ]
+    # Python's json reads NaN and Infinity in a symbol config
+    + [
+        (command, "--symbol", symbol, *extra)
+        for symbol in (
+            '{"alpha":1,"beta":1,"measure":{"kind":"radial_power","s":Infinity}}',
+            '{"alpha":1,"beta":1,"measure":{"kind":"radial_power","s":4,"a":Infinity}}',
+            '{"alpha":1,"beta":1,"measure":{"kind":"combination","terms":[{"coeff_re":NaN,'
+            '"measure":{"kind":"point_mass","re":0.3}}]}}',
+        )
+        for command, *extra in (("trace",), ("berezin", "--z=0.3"), ("spectrum", "--dim", "8"), ("carleson", "--k", "1"))
     ],
 )
 def test_non_finite_numbers_are_usage_errors(capsys, argv):
@@ -272,6 +283,13 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == "usage"
+
+
+def test_trace_holds_the_dimension_cap(capsys):
+    symbol = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.5}}'
+    code, out, err = run(capsys, "trace", "--dim", "20000", "--symbol", symbol)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {"type": "config", "message": "truncation dimension capped at 4096"}
 
 
 def test_parse_complex_literals():

@@ -19,7 +19,7 @@ from bergtoep.measures import (
     RadialPower,
     SymbolSpec,
 )
-from bergtoep.operators import adjoint_symbol, assemble, entry
+from bergtoep.operators import TruncatedOperator, adjoint_symbol, assemble, entry
 
 
 def test_entry_circle_uniform_diagonal():
@@ -68,6 +68,25 @@ def test_assemble_caps_dimension():
         assemble(SymbolSpec(0, 0, PointMass(0.0)), 5000)
     with pytest.raises(ValueError):
         assemble(SymbolSpec(0, 0, PointMass(0.0)), 0)
+
+
+def test_operator_flags_follow_the_symbol():
+    symbols = [
+        SymbolSpec(1, 1, CircleUniform(0.5)),
+        SymbolSpec(2, 1, RadialPower(s=5.0)),
+        SymbolSpec(1, 1, PointMass(0.3 + 0.2j)),
+        SymbolSpec(1, 1, Combination(((1.0 + 1.0j, PointMass(0.3)), (2.0, CircleUniform(0.5))))),
+    ]
+    for s in symbols:
+        built, assembled = TruncatedOperator(4, s), assemble(s, 4)
+        assert (built.is_radial_band, built.is_hermitian) == (assembled.is_radial_band, assembled.is_hermitian)
+    assert TruncatedOperator(4, symbols[0]).is_hermitian and TruncatedOperator(4, symbols[0]).is_radial_band
+    assert not TruncatedOperator(4, symbols[1]).is_hermitian
+    assert not TruncatedOperator(4, symbols[2]).is_radial_band
+    assert not TruncatedOperator(4, symbols[3]).is_hermitian  # a complex coefficient
+    for dim in (0, 4097):
+        with pytest.raises(ValueError, match="truncation dimension"):
+            TruncatedOperator(dim, symbols[0])
 
 
 def test_entry_matches_assemble_elementwise():

@@ -71,7 +71,8 @@ def test_protocol_conformance(base, alpha, beta):
             assert isinstance(element, complex)
             assert element == pytest.approx(matrix[n, m], rel=1e-12, abs=1e-14)
 
-    value, tail = base.diagonal_trace(alpha, beta, DIM)
+    value, _ = trace_matrix(SymbolSpec(alpha, beta, base), DIM)
+    tail = base.diagonal_tail(alpha, beta, DIM)
     assert isinstance(value, complex) and isinstance(tail, float) and tail >= 0.0
     assert isinstance(base.closed_trace(alpha, beta, 1e-10), complex)
 
@@ -222,6 +223,11 @@ def test_factors_densify_to_the_entries(base, alpha, beta):
                 element = base.entry(alpha, beta, n, m)
                 assert element == pytest.approx(matrix[n, m], rel=1e-12, abs=1e-14), (dim, n, m)
                 assert element == pytest.approx(naive[n, m], rel=1e-12, abs=1e-14), (dim, n, m)
+        # the matrix route reads the same diagonal from the factors
+        diagonal = np.diagonal(matrix)
+        dense_trace = complex(math.fsum(diagonal.real), math.fsum(diagonal.imag))
+        value, _ = trace_matrix(SymbolSpec(alpha, beta, base), dim)
+        assert abs(value - dense_trace) <= 1e-14 * abs(dense_trace), dim
 
 
 @pytest.mark.parametrize("base,alpha,beta", FACTOR_INSTANCES)
@@ -242,3 +248,23 @@ def test_factor_form_and_scale_match_the_dense_matrix(base, alpha, beta):
         got = berezin_matrix(op, z).value
         assert abs(got - dense) <= 1e-14 * dense_fro * float(np.vdot(a, a).real)
     assert "entries" not in vars(op)
+
+
+def _readme_protocol_methods() -> set[str]:
+    """The names in the first column of the README protocol table."""
+    lines = (SRC.parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| method | returns |") + 2
+    names = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        first_column = line.split("|")[1]
+        names |= {span.split("(")[0] for span in first_column.split("`")[1::2]}
+    return names
+
+
+def test_readme_protocol_table_names_methods_every_kind_has():
+    names = _readme_protocol_methods()
+    assert {"factors", "diagonal_tail", "closed_trace", "to_config", "from_config"} <= names
+    missing = [f"{cls.__name__}.{name}" for cls in MEASURE_KINDS.values() for name in sorted(names) if not hasattr(cls, name)]
+    assert not missing, missing

@@ -139,14 +139,45 @@ def test_trace_linearity_over_combinations():
     assert abs(m_combined - m_separate) <= 1e-10 * max(abs(m_separate), 1.0)
 
 
-def test_trace_matrix_point_mass_near_boundary_tail_is_valid():
-    symbol = SymbolSpec(1, 1, PointMass(0.9))
-    closed = trace_closed_form(symbol, tol=1e-12).real
+def _exact_diagonal_remainder(r: float, alpha: int, beta: int, dim: int) -> float:
+    """Sum over n >= dim of (n+1) [n!/(n-alpha)!] [n!/(n-beta)!] r^(2n-alpha-beta)
+    at 30 digits, for terms that decrease from n = dim on: the rest of the
+    diagonal of a point mass at |z0| = r, and, at alpha = beta, of the
+    circle of radius r."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        r, total, n = mpmath.mpf(r), mpmath.mpf(0), max(dim, alpha, beta)
+        while True:
+            term = (n + 1) * mpmath.ff(n, alpha) * mpmath.ff(n, beta) * r ** (2 * n - alpha - beta)
+            total += term
+            if term < mpmath.mpf(10) ** -30 * total:
+                return float(total)
+            n += 1
+
+
+@pytest.mark.parametrize(
+    "base,alpha,beta",
+    [pytest.param(PointMass(0.9), a, b, id=f"point_{a}{b}") for a, b in ((1, 1), (2, 1), (1, 0))]
+    + [pytest.param(CircleUniform(0.9), k, k, id=f"circle_{k}{k}") for k in (0, 1, 2)],
+)
+def test_trace_matrix_point_mass_near_boundary_tail_is_valid(base, alpha, beta):
+    # the point mass and the circle share one tail bound
+    symbol = SymbolSpec(alpha, beta, base)
+    closed = trace_closed_form(symbol, tol=1e-12)
     for dim in (64, 200):
         value, tail = trace_matrix(symbol, dim)
-        remainder = abs(closed - value.real)
-        assert tail >= remainder * (1.0 - 1e-12)
         assert math.isfinite(tail)
+        assert tail >= _exact_diagonal_remainder(0.9, alpha, beta, dim) * (1.0 - 1e-12)
+        # the closed form's tolerance, and a few ulps of rounding in it and the head
+        noise = 1e-12 + 16 * np.finfo(float).eps * abs(closed)
+        assert abs(closed - value) <= tail + noise
+
+
+def test_trace_matrix_holds_the_dimension_cap():
+    symbol = SymbolSpec(1, 1, PointMass(0.5))
+    for dim in (0, 4097):
+        with pytest.raises(ValueError, match="truncation dimension"):
+            trace_matrix(symbol, dim)
 
 
 # ------------------------------------------------------------ Berezin route
