@@ -7,14 +7,15 @@ normalized kernel, to
     S(z) = sum over p, q of binom(p+a+1, p) binom(q+b+1, q)
            conj(z)^p z^q M(p, q),
 
-with M the monomial moments of the base measure.  Radial bases collapse S
-to a one-dimensional series; point masses have a closed form.  Near the
-boundary the radial-power series is traded for an integral representation
-through the Gauss hypergeometric function 2F1(alpha+2, beta+2; 1; .), which
-stays evaluable where the series would need billions of terms; the orders
-are integers, so Euler's transformation gives it in closed form, a
-polynomial over a power of 1 - y.  Every route takes arrays of points:
-series are summed row by row, each row stopping on its own tail bound.
+with M the monomial moments of the base measure.  The orders are integers,
+so 2F1(alpha+2, beta+2; 1; y) is, by Euler's transformation, a polynomial
+over a power of 1 - y.  The point mass, the uniform circle (S is that 2F1
+at y = |z|^2 r0^2) and its radial derivative have closed forms with
+rounding-only error bars.  A radial power base collapses S to a series;
+near the boundary it is traded for an integral of the 2F1 against the
+weight, evaluable where the series would need billions of terms.  Every
+route takes arrays of points: series are summed row by row, each row
+stopping on its own tail bound.
 
 The invariant integral uses composite Gauss-Legendre panels on a dyadic
 mesh graded toward t = |z|^2 = 1, sampling a whole panel per call; the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .bergman import BOUNDARY_MARGIN
 from .errors import BoundaryError, NumericalFailureError
-from .numutil import beta_integral, falling_factorial, gauss_legendre, int_factorial, ratio_series
+from .numutil import beta_integral, check_tol, falling_factorial, gauss_legendre, int_factorial, ratio_series
 
 __all__ = [
     "BerezinSample",
@@ -214,30 +215,6 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t, tol: float):
     return S, est
 
 
-def _circle_uniform_S(alpha: int, beta: int, r0: float, t: np.ndarray, tol: float):
-    y = t * r0 * r0
-
-    def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-        return (p + alpha + 2.0) * (p + beta + 2.0) / ((p + 1.0) * (p + 1.0)) * y[rows]
-
-    return ratio_series(np.ones(t.size), ratio_at, tol)
-
-
-def _circle_derivative_values(r0: float, t: np.ndarray, tol: float):
-    """Transform of the radial circle derivative: minus the radial
-    derivative, at r0, of the angular average of |k_z|^2 on radius r."""
-    y = t * r0 * r0
-
-    # sum of p (p+1)^2 y^p from p = 1; term ratio ((p+1)/p) ((p+2)/(p+1))^2 y
-    def ratio_at(p_index: int, rows: np.ndarray) -> np.ndarray:
-        p = p_index + 1
-        return (p + 1.0) / p * ((p + 2.0) / (p + 1.0)) ** 2 * y[rows]
-
-    series, tail = ratio_series(4.0 * y, ratio_at, tol)
-    scale = (1.0 - t) ** 2 * 2.0 / r0
-    return -scale * series, scale * tail
-
-
 def _prefactor(alpha: int, beta: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(-1)^(a+b) (a+1)! (b+1)! conj(z)^a z^b (1-|z|^2)^2 at the points z.
 
@@ -275,8 +252,7 @@ def berezin_series(symbol, z: complex, tol: float = 1e-10) -> BerezinSample:
     """Berezin transform of the ``SymbolSpec`` at z by the analytic route
     (series or closed form)."""
     z = complex(z)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+    check_tol(tol)
     _check_fence(z)
     value, est = _berezin_values(symbol, np.array([z]), tol)
     return BerezinSample(z=z, value=complex(value[0]), route="series", est_error=float(est[0]))
@@ -316,6 +292,7 @@ def weighted_berezin_radial(
                     sum_p binom(p+alpha+1, p)^2 |z|^(2p) *
                     B(p + a_exp + 1, m_exp + alpha + 1).
     """
+    check_tol(tol)
     m_exp, a_exp = f_spec
     if not m_exp + alpha > -1.0:
         raise ValueError("weighted transform needs m_exp + alpha > -1")
@@ -417,8 +394,7 @@ def invariant_integral(
     the new nodes of every radius of the panel still open, at most
     24 x 2048 points.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+    check_tol(tol)
     x16, w16 = gauss_legendre(16)
     x8, w8 = gauss_legendre(8)
     nodes = np.concatenate([x16, x8])

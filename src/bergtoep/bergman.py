@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import BoundaryError
-from .numutil import falling_factorial, int_factorial, ratio_series
+from .numutil import check_tol, falling_factorial, int_factorial, ratio_series
 
 __all__ = [
     "basis_deriv_coeff",
@@ -66,11 +66,13 @@ def kernel_deriv_eval(z: complex, w: complex, alpha: int) -> complex:
     return int_factorial(alpha + 1) * z.conjugate() ** alpha * denom ** (-(2 + alpha))
 
 
-def kernel_deriv_norm(z0: complex, gamma: int, tol: float = 1e-12) -> float:
+def kernel_deriv_norm(z0: complex, gamma: int) -> float:
     """Norm of the gamma-th kernel derivative v(w) = (gamma+1)! w^gamma
     (1 - conj(z0) w)^(-(2+gamma)), the function reproducing f^(gamma)(z0).
 
-    Squared norm: ((gamma+1)!)^2 sum_p binom(p+gamma+1, p)^2 |z0|^(2p) / (p+gamma+1).
+    The squared norm is v^(gamma)(z0) = D(gamma, gamma)(z0): with x = |z0|^2,
+    the sum of coef x^p (1-x)^(-m) over ``d_alpha_beta_terms(gamma, gamma)``,
+    whose terms are all positive, so nothing cancels.
     """
     z0 = complex(z0)
     if gamma < 0:
@@ -78,13 +80,8 @@ def kernel_deriv_norm(z0: complex, gamma: int, tol: float = 1e-12) -> float:
     x = (z0 * z0.conjugate()).real
     if x >= 1.0:
         raise BoundaryError("kernel derivative norm needs |z0| < 1")
-    x_row = np.array([x])
-
-    def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-        return (p + gamma + 2.0) * (p + gamma + 1.0) / ((p + 1.0) * (p + 1.0)) * x_row[rows]
-
-    total, _ = ratio_series([1.0 / (gamma + 1.0)], ratio_at, tol)
-    return int_factorial(gamma + 1) * math.sqrt(float(total[0]))
+    terms = d_alpha_beta_terms(gamma, gamma)
+    return math.sqrt(math.fsum(coef * x**p * (1.0 - x) ** -m for coef, _, p, m in terms))
 
 
 def d_alpha_beta_ratio(j: int, alpha: int, beta: int) -> float:
@@ -102,8 +99,7 @@ def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> 
     w = complex(w)
     if alpha < 0 or beta < 0:
         raise ValueError("derivative orders must be nonnegative")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+    check_tol(tol)
     if not abs(w) <= 1.0 - BOUNDARY_MARGIN:
         raise BoundaryError(
             f"derivative kernel series needs |w| <= {1.0 - BOUNDARY_MARGIN}, got |w|={abs(w)}"

@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .berezin import _circle_derivative_values, _circle_uniform_S, _ipow, _prefactor, _radial_power_S
+from .berezin import _euler_hyp2f1, _ipow, _prefactor, _radial_power_S
 from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_ratio, d_alpha_beta_terms
 from .errors import NumericalFailureError, UnsupportedSymbolError
 from .numutil import SERIES_TERM_CAP, beta_integral, falling_factorial, int_factorial, ratio_series
@@ -43,11 +43,17 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 32
+_EPS = sys.float_info.epsilon
 
 
 def _sign(alpha: int, beta: int) -> float:
     """(-1)^(alpha+beta), the sign of the sesquilinear form."""
     return -1.0 if (alpha + beta) % 2 else 1.0
+
+
+def _rounding_bar(power: int, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Relative rounding error of a circle closed form: y's via (1-y)^-power, t's via (1-t)^2."""
+    return _EPS * (power / (1.0 - y) + 2.0 / (1.0 - t))
 
 
 def _kernel_diag_tail(x: float, alpha: int, beta: int, dim: int) -> float:
@@ -228,7 +234,7 @@ class _Atom:
     - ``berezin(alpha, beta, z, t, tol)``: (values, error estimates) of
       the transform at the 1-d array z, with t = |z|^2;
     - ``sampler_budget(alpha, beta, tol)``: how far a pointwise transform
-      tolerance can move the invariant integral;
+      tolerance can move the invariant integral (one default for all kinds);
     - ``boundary_weight(order)``: (integral of (1-|w|^2)^(-order) against
       |mu|, endpoint exponent of (1 - t) that decides its finiteness,
       +inf for compact support);
@@ -403,7 +409,10 @@ class CircleUniform(_Radial):
         return coef * t0**p_conj * (1.0 - t0) ** (-m)
 
     def _diagonal_sum(self, alpha, beta, t, tol):
-        return _circle_uniform_S(alpha, beta, self.r0, t, tol)
+        # S = 2F1(alpha+2, beta+2; 1; y) in closed form, over (1-y)^(alpha+beta+3)
+        y = t * self.r0 * self.r0
+        S = _euler_hyp2f1(alpha, beta, y)
+        return S, _rounding_bar(alpha + beta + 3, y, t) * S
 
     def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
         # the single band misses the diagonal unless alpha = beta
@@ -517,10 +526,12 @@ class CircleRadialDerivative(_Atom):
         return complex(-4.0 * r0 / (1.0 - r0 * r0) ** 3)
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
-        return _circle_derivative_values(self.r0, t, tol)
-
-    def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
-        return 2.0 / self.r0 * tol
+        # minus d/dr at r0 of the angular average of |k_z|^2, (1-t)^2 (2/r0)
+        # times the sum over p >= 1 of p (p+1)^2 y^p, which is 2y (2+y) / (1-y)^4
+        r0 = self.r0
+        y = t * r0 * r0
+        value = -((1.0 - t) ** 2) * (2.0 / r0) * (2.0 * y * (2.0 + y) / (1.0 - y) ** 4)
+        return value, _rounding_bar(16, y, t) * np.abs(value)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         # the absolute pairing with the weight: |d/dr (1-r^2)^(-order)| at r0

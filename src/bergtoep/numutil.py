@@ -14,6 +14,12 @@ from .errors import NumericalFailureError
 SERIES_TERM_CAP = 100_000
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is not finite and positive, NaN included."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
+
+
 def log_beta(x: float, y: float) -> float:
     if x <= 0.0 or y <= 0.0:
         raise ValueError(f"Beta integral requires positive arguments, got ({x}, {y})")

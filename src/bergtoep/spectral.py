@@ -18,7 +18,8 @@ import numpy as np
 from .berezin import _berezin_values, invariant_integral
 from .errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
 from .measures import BaseMeasure, SymbolSpec, boundary_weight_integral
-from .operators import TruncatedOperator, assemble
+from .numutil import check_tol
+from .operators import MAX_DIMENSION, TruncatedOperator, assemble
 
 __all__ = [
     "TraceReport",
@@ -100,6 +101,7 @@ def trace_closed_form(symbol: SymbolSpec, tol: float = 1e-10) -> complex:
     integrated against the base measure; radial bases kill every
     off-diagonal angular term, leaving finite Beta-integral sums.
     """
+    check_tol(tol)
     ensure_trace_class(symbol)
     return symbol.base.closed_trace(symbol.alpha, symbol.beta, tol)
 
@@ -146,6 +148,7 @@ def trace_report(
     the matrix tail, and any pair involving the quadrature route at 1e-5
     plus the reported error estimates.
     """
+    check_tol(tol)
     closed = trace_closed_form(symbol, tol=min(tol, 1e-10))
     matrix_value, matrix_tail = trace_matrix(symbol, dim)
     berezin_value, berezin_err = trace_berezin(symbol, tol=tol)
@@ -230,10 +233,14 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def singular_values(op: TruncatedOperator | np.ndarray, rank_tol: float = 1e-12) -> SpectrumReport:
     """Full singular value set of a truncation, descending, with the count
-    of values above rank_tol times the largest."""
+    of values above rank_tol times the largest, 0 <= rank_tol < 1."""
+    if not 0.0 <= rank_tol < 1.0:  # NaN fails every comparison
+        raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
     matrix = op.entries if isinstance(op, TruncatedOperator) else np.asarray(op)
-    if matrix.shape[0] > 4096:
-        raise ValueError("singular value decomposition capped at dimension 4096")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("singular values need a square matrix")
+    if matrix.shape[0] > MAX_DIMENSION:
+        raise ValueError(f"singular value decomposition capped at dimension {MAX_DIMENSION}")
     svals = jacobi_svd(matrix)
     if svals.size and svals[0] > 0.0:
         rank = int(np.sum(svals > rank_tol * svals[0]))

@@ -19,7 +19,7 @@ from bergtoep.berezin import (
     invariant_integral,
     weighted_berezin_radial,
 )
-from bergtoep.bergman import d_alpha_beta_eval
+from bergtoep.bergman import BOUNDARY_MARGIN, d_alpha_beta_eval
 from bergtoep.errors import BoundaryError
 from bergtoep.measures import (
     CircleRadialDerivative,
@@ -203,6 +203,53 @@ def test_radial_power_error_bar_holds_against_mpmath_3f2(tol):
                 )
                 S, est = _radial_power_S(alpha, beta, s, a, t, tol)
                 assert abs(S[0] - ref) <= est[0] + 16.0 * eps * abs(ref), (alpha, beta, s, a, r)
+
+
+_FENCE_RADII = (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - BOUNDARY_MARGIN)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 1), (2, 1), (1, 0), (3, 3), (0, 4)])
+def test_circle_closed_form_bar_holds_against_mpmath_2f1(alpha, beta):
+    # the transform is the prefactor times 2F1(alpha+2, beta+2; 1; |z|^2 r0^2),
+    # at 40 digits and at the exact binary value of each z, up to the fence
+    import mpmath
+
+    sign = (-1) ** (alpha + beta) * math.factorial(alpha + 1) * math.factorial(beta + 1)
+    with mpmath.workdps(40):
+        for r0 in (0.3, 0.6, 0.9, 0.99, 0.999):
+            symbol = SymbolSpec(alpha, beta, CircleUniform(r0))
+            for radius in _FENCE_RADII:
+                for z in (complex(radius), cmath.rect(radius, 0.7), cmath.rect(radius, 2.0)):
+                    if abs(z) > 1.0 - BOUNDARY_MARGIN:
+                        continue
+                    w = mpmath.mpc(z.real, z.imag)
+                    t = w.real**2 + w.imag**2
+                    ref = complex(
+                        sign * mpmath.conj(w) ** alpha * w**beta * (1 - t) ** 2
+                        * mpmath.hyp2f1(alpha + 2, beta + 2, 1, t * mpmath.mpf(r0) ** 2)
+                    )
+                    sample = berezin_series(symbol, z)
+                    assert abs(sample.value - ref) <= sample.est_error, (r0, z)
+
+
+def test_circle_derivative_closed_form_bar_holds_against_mpmath_nsum():
+    # minus (1-t)^2 (2/r0) sum_{p>=1} p (p+1)^2 y^p, y = |z|^2 r0^2, summed by
+    # mpmath at 40 digits at the exact binary value of each z
+    import mpmath
+
+    with mpmath.workdps(40):
+        for r0 in (0.05, 0.3, 0.6, 0.9, 0.99, 0.999):
+            symbol = SymbolSpec(0, 0, CircleRadialDerivative(r0))
+            for radius in _FENCE_RADII:
+                for z in (complex(radius), cmath.rect(radius, 1.1)):
+                    if abs(z) > 1.0 - BOUNDARY_MARGIN:
+                        continue
+                    t = mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2
+                    y = t * mpmath.mpf(r0) ** 2
+                    series = mpmath.nsum(lambda p: p * (p + 1) ** 2 * y**p, [1, mpmath.inf])
+                    ref = float(-((1 - t) ** 2) * 2 / mpmath.mpf(r0) * series)
+                    sample = berezin_series(symbol, z)
+                    assert abs(sample.value - ref) <= sample.est_error, (r0, z)
 
 
 def test_radial_power_branches_are_continuous_at_handover():

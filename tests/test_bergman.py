@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -148,3 +149,23 @@ def test_kernel_deriv_norm_against_brute_series():
     )
     expected = math.factorial(gamma + 1) * math.sqrt(total)
     assert kernel_deriv_norm(z0, gamma) == pytest.approx(expected, rel=1e-12)
+
+
+def test_kernel_deriv_norm_closed_form_against_brute_series_to_the_boundary():
+    # the brute series of the squared norm, ((gamma+1)!)^2 times
+    # sum_p binom(p+gamma+1, p)^2 x^p / (p+gamma+1), in 30-digit decimals
+    # at the exact binary value of x = |z0|^2, summed past 1e-25 relative
+    for z0 in (0.0, 0.3, 0.5 + 0.5j, 0.9, -0.99j, 0.999):
+        z0 = complex(z0)
+        with localcontext() as ctx:
+            ctx.prec = 30
+            x = Decimal(z0.real) ** 2 + Decimal(z0.imag) ** 2
+            for gamma in range(8):
+                term = total = Decimal(1) / (gamma + 1)
+                p = 0
+                while term > total.scaleb(-25):
+                    term = term * ((p + gamma + 2) * (p + gamma + 1)) / (p + 1) ** 2 * x
+                    total += term
+                    p += 1
+                expected = math.factorial(gamma + 1) * float(total.sqrt())
+                assert kernel_deriv_norm(z0, gamma) == pytest.approx(expected, rel=1e-12), (z0, gamma)

@@ -213,6 +213,16 @@ def test_spectrum_explicit_bad_window_exits_one(capsys):
     assert json.loads(out)["fit"] is None
 
 
+@pytest.mark.parametrize("rank_tol", ["-1", "1", "1.5"])
+def test_spectrum_rank_tol_outside_unit_interval_exits_one(capsys, rank_tol):
+    symbol = '{"alpha":0,"beta":0,"measure":{"kind":"circle_uniform","r0":0.5}}'
+    code, out, err = run(capsys, "spectrum", "--symbol", symbol, "--dim", "16", f"--rank-tol={rank_tol}")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert "rank_tol must lie in [0, 1)" in error["message"]
+
+
 def test_unknown_keys_rejected(capsys):
     bad = '{"alpha":0,"beta":0,"measure":{"kind":"circle_uniform","r0":0.5,"radius":2}}'
     code, _, err = run(capsys, "trace", "--symbol", bad)

@@ -198,6 +198,14 @@ def test_trace_berezin_radial_power_matches_telescoping_oracle():
     assert value.real == pytest.approx(4.0, abs=1e-5)
 
 
+def test_trace_berezin_circle_derivative_bar_covers_the_exact_trace():
+    # closed-form transform: the bar is the integral's own plus the default
+    # sampler budget, and must cover the distance to -4 r0 / (1 - r0^2)^3
+    for r0 in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+        value, err = trace_berezin(SymbolSpec(0, 0, CircleRadialDerivative(r0)))
+        assert abs(value - (-4.0 * r0 / (1.0 - r0 * r0) ** 3)) <= err, r0
+
+
 def test_trace_berezin_gate():
     with pytest.raises(NotTraceClassError):
         trace_berezin(SymbolSpec(1, 1, RadialPower(s=2.0)))
@@ -282,6 +290,29 @@ def test_singular_values_diagonal_circle():
     report = singular_values(op)
     expected = sorted(((n + 1) * 0.25**n for n in range(8)), reverse=True)
     assert np.allclose(report.svals, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("matrix", [np.array(1.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))])
+def test_singular_values_need_a_square_matrix(matrix):
+    with pytest.raises(ValueError, match="square matrix"):
+        singular_values(matrix)
+
+
+def test_singular_values_read_the_dimension_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "MAX_DIMENSION", 4)
+    with pytest.raises(ValueError, match="capped at dimension 4"):
+        singular_values(np.eye(5))
+    assert singular_values(np.eye(4)).numerical_rank == 4
+
+
+@pytest.mark.parametrize("rank_tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300, 1.0, 2.0])
+def test_singular_values_rank_tol_lies_in_unit_interval(rank_tol):
+    with pytest.raises(ValueError, match="rank_tol"):
+        singular_values(np.eye(3), rank_tol=rank_tol)
+
+
+def test_singular_values_rank_tol_zero_counts_every_nonzero_value():
+    assert singular_values(np.diag([1.0, 1e-100, 0.0]), rank_tol=0.0).numerical_rank == 2
 
 
 def test_hermitian_svals_equal_absolute_eigenvalues():
