@@ -118,11 +118,17 @@ def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
     min(alpha, beta) + 1 whose coefficients (alpha+1)_k (beta+1)_k / (k!)^2
     (falling factorials) are all positive, so nothing cancels.
     """
+    # in place: a batch is ~0.5 MB per array, and each fresh one is a new
+    # mapping, with its page faults, once the allocator has given it back
     poly = np.zeros_like(y)
     for k in range(min(alpha, beta) + 1, -1, -1):  # Horner, top coefficient first
         coeff = falling_factorial(alpha + 1, k) * falling_factorial(beta + 1, k) / int_factorial(k) ** 2
-        poly = poly * y + coeff
-    return poly / (1.0 - y) ** (alpha + beta + 3)
+        poly *= y
+        poly += coeff
+    denom = 1.0 - y
+    denom **= alpha + beta + 3
+    poly /= denom
+    return poly
 
 
 def _first_stop(stop: np.ndarray) -> np.ndarray:

@@ -84,12 +84,6 @@ def kernel_deriv_norm(z0: complex, gamma: int) -> float:
     return math.sqrt(math.fsum(coef * x**p * (1.0 - x) ** -m for coef, _, p, m in terms))
 
 
-def d_alpha_beta_ratio(j: int, alpha: int, beta: int) -> float:
-    """Ratio of consecutive D(alpha, beta) series terms, j+1 over j, divided
-    by |w|^2."""
-    return (j + 2.0) / (j + 1.0) * ((j + 1.0) / (j + 1.0 - alpha)) * ((j + 1.0) / (j + 1.0 - beta))
-
-
 def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> complex:
     """Derivative kernel D(alpha, beta)(w) by its power series.
 
@@ -111,7 +105,10 @@ def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> 
     monomial = w ** (j0 - alpha) * w.conjugate() ** (j0 - beta)
 
     def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-        return d_alpha_beta_ratio(j0 + p, alpha, beta) * t_row[rows]
+        # term j+1 over term j is this ratio times |w|^2
+        j = j0 + p
+        ratio = (j + 2.0) / (j + 1.0) * ((j + 1.0) / (j + 1.0 - alpha)) * ((j + 1.0) / (j + 1.0 - beta))
+        return ratio * t_row[rows]
 
     first = (j0 + 1.0) * falling_factorial(j0, alpha) * falling_factorial(j0, beta)
     series, _ = ratio_series([first], ratio_at, tol / (abs(monomial) or 1.0))

@@ -17,14 +17,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
 from .berezin import _euler_hyp2f1, _ipow, _prefactor, _radial_power_S
-from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_ratio, d_alpha_beta_terms
-from .errors import NumericalFailureError, UnsupportedSymbolError
-from .numutil import SERIES_TERM_CAP, beta_integral, falling_factorial, int_factorial, ratio_series
+from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_terms
+from .errors import UnsupportedSymbolError
+from .numutil import beta_integral, beta_rounding, int_factorial
 
 __all__ = [
     "RadialPower",
@@ -44,6 +45,7 @@ __all__ = [
 
 MAX_DERIVATIVE_ORDER = 32
 _EPS = sys.float_info.epsilon
+_U = _EPS / 2.0
 
 
 def _sign(alpha: int, beta: int) -> float:
@@ -51,42 +53,57 @@ def _sign(alpha: int, beta: int) -> float:
     return -1.0 if (alpha + beta) % 2 else 1.0
 
 
-def _rounding_bar(power: int, y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Relative rounding error of a circle closed form: y's via (1-y)^-power, t's via (1-t)^2."""
-    return _EPS * (power / (1.0 - y) + 2.0 / (1.0 - t))
+def _t_rounding(t: np.ndarray) -> np.ndarray:
+    """Relative error of the (1-t)^2 every kind's transform carries, from
+    the rounding of t = |z|^2: 2 eps/(1-t), one term for every bar."""
+    return 2.0 * _EPS / (1.0 - t)
 
 
-def _kernel_diag_tail(x: float, alpha: int, beta: int, dim: int) -> float:
-    """Bound the sum over n >= dim of the D(alpha, beta) diagonal
-    (n+1) [n!/(n-alpha)!] [n!/(n-beta)!] x^(n-(alpha+beta)/2): a point mass
-    with |z0|^2 = x, and, at alpha = beta, the circle of radius sqrt(x).
+def _mass_bound(q: float, m: int, y_ulps: float) -> float:
+    """Bound b with exact <= computed (1 + b) for coef x^q y^(-m), y = 1 - x,
+    given x within u = eps/2 and y within ``y_ulps`` u: those through the
+    powers, plus coef's rounding, two pow calls within one ulp, two products."""
+    return math.expm1(_U * (q + m * y_ulps)) + 7.0 * _U
 
-    Walks past the pre-asymptotic head where the term ratio still exceeds 1;
-    once below 1 the decreasing ratio itself is a valid geometric bound,
-    so any finite bound ends the walk.  +inf when the walk is exhausted.
+
+def _diagonal_tail(atom, alpha: int, beta: int, dim: int) -> tuple[float, float]:
+    """(sum, pad): the sum over n >= dim of |entries[n, n]| =
+    p(n) <t^(n-shift), |nu|> in closed form, and a pad for its rounding.
+    Here p(n) = (n+1) n^(alpha) n^(beta) in falling factorials n^(k),
+    shift = (alpha+beta)/2, and the atom gives ``_pairing(coef, q, m)`` =
+    coef <t^q (1-t)^(-m), |nu|> and ``_pairing_bound(q, m)``, its rounding.
+
+    - p(n) = sum_k e_k n^(k) with every e_k >= 0, by
+      n^(alpha) n^(beta) = sum_i C(alpha, i) C(beta, i) i! n^(alpha+beta-i)
+      and (n+1) n^(K) = n^(K+1) + (K+1) n^(K);
+    - the diagonal is 0 below N = max(dim, alpha, beta), and
+      sum_{n>=N} n^(k) t^n
+      = sum_{j<=min(k,N)} C(k, j) N^(j) (k-j)! t^(N+k-j) (1-t)^-(k-j+1).
+
+    So the tail is a finite sum of positive pairings.  The pad adds their
+    bounds and 3 eps for the two sums: sum + pad never falls below the
+    exact tail, short of 1e-300 lost to underflow.  Both are +inf if a
+    pairing diverges or overflows.
     """
-
-    def ratio_at(n: int) -> float:
-        return d_alpha_beta_ratio(n, alpha, beta) * x
-
-    start = max(dim, alpha, beta)
-    # the ratio decreases in n: if the last one the walk may reach is still
-    # >= 1, so is each one before it, and the walk would end exhausted
-    if ratio_at(start + SERIES_TERM_CAP - 1) >= 1.0:
-        return math.inf
-    first = (
-        (start + 1.0)
-        * falling_factorial(start, alpha)
-        * falling_factorial(start, beta)
-        * x ** (start - (alpha + beta) / 2.0)
-    )
-    try:
-        head, tail = ratio_series(
-            [first], lambda p, rows: np.array([ratio_at(start + p)]), sys.float_info.max
-        )
-    except NumericalFailureError:
-        return math.inf
-    return float(head[0] + tail[0])
+    e = [0] * (alpha + beta + 2)
+    for i in range(min(alpha, beta) + 1):
+        c, K = math.comb(alpha, i) * math.comb(beta, i) * math.factorial(i), alpha + beta - i
+        e[K + 1] += c
+        e[K] += (K + 1) * c
+    N = max(dim, alpha, beta)
+    values, pads = [], []
+    for k, e_k in enumerate(e):
+        for j in range(min(k, N) + 1 if e_k else 0):
+            coef = float(e_k * math.comb(k, j) * math.perm(N, j) * math.factorial(k - j))
+            q, m = N + k - j - (alpha + beta) / 2, k - j + 1
+            try:
+                value = atom._pairing(coef, q, m)
+            except OverflowError:  # a power past the float range
+                value = math.inf
+            values.append(value)
+            pads.append(value * atom._pairing_bound(q, m) if value < math.inf else value)
+    total = math.fsum(values)
+    return total, math.fsum(pads) + 3.0 * _EPS * total
 
 
 def _basis_coeffs(idx: np.ndarray, order: int) -> np.ndarray:
@@ -227,8 +244,12 @@ class _Atom:
       form(a), norm() and trace(); an atom gives one pair with c = 1;
     - ``matrix(alpha, beta, dim)``: the dense truncation entries[n, m],
       the factors densified by the one ``_densify``;
-    - ``diagonal_tail(alpha, beta, dim)``: a bound on the sum of |entries[n, n]|
-      over n >= dim, the remainder of the trace the factors' ``trace()`` sum;
+    - ``diagonal_tail(alpha, beta, dim)``: the sum of |entries[n, n]| over
+      n >= dim, the remainder of the trace the factors' ``trace()`` sum, in
+      closed form (``_diagonal_tail``) padded by its own rounding: +inf only
+      for a divergent radial power or on overflow;
+    - ``trace_rounding(alpha, beta)``: that pad at dim 0, the rounding of
+      the whole diagonal's pairing from the measure's rounded parameters;
     - ``closed_trace(alpha, beta, tol)``: the pairing with the derivative
       kernel;
     - ``berezin(alpha, beta, z, t, tol)``: (values, error estimates) of
@@ -260,6 +281,15 @@ class _Atom:
 
     def matrix(self, alpha: int, beta: int, dim: int) -> np.ndarray:
         return _densify(self.factors(alpha, beta, dim), dim)
+
+    def _tail(self, alpha: int, beta: int, dim: int) -> tuple[float, float]:
+        return _diagonal_tail(self, alpha, beta, dim)
+
+    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+        return sum(self._tail(alpha, beta, dim))
+
+    def trace_rounding(self, alpha: int, beta: int) -> float:
+        return self._tail(alpha, beta, 0)[1]
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         # the transform carries a (1-|z|^2)^2 factor that cancels the
@@ -307,8 +337,12 @@ class _Radial(_Atom):
             return 0.0 + 0.0j
         total = 0.0
         for coef, p_conj, _p, m in d_alpha_beta_terms(alpha, beta):
-            total += self._kernel_term(coef, p_conj, m)
+            total += self._pairing(coef, p_conj, m)
         return complex(_sign(alpha, beta) * total)
+
+    def _tail(self, alpha: int, beta: int, dim: int) -> tuple[float, float]:
+        # the single band misses the diagonal unless alpha = beta
+        return _diagonal_tail(self, alpha, alpha, dim) if alpha == beta else (0.0, 0.0)
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
         # the diagonal sum S once per distinct t, broadcast over the points
@@ -317,7 +351,7 @@ class _Radial(_Atom):
         S, est = self._diagonal_sum(alpha, beta, t_distinct, tol)
         S, est = S[where], est[where]
         value = prefactor * S
-        return value, np.abs(prefactor) * est + 1e-15 * np.abs(prefactor) * np.abs(S)
+        return value, np.abs(prefactor) * est + (1e-15 + _t_rounding(t)) * np.abs(prefactor) * np.abs(S)
 
 
 @dataclass(frozen=True)
@@ -344,44 +378,21 @@ class RadialPower(_Radial):
     def radial_moment(self, p: int) -> float:
         return beta_integral(p + self.a + 1.0, self.s + 1.0)
 
-    def _kernel_term(self, coef: float, p_conj: int, m: int) -> float:
-        return coef * beta_integral(p_conj + self.a + 1.0, self.s - m + 1.0)
+    def _pairing(self, coef: float, q: float, m: int) -> float:
+        # coef B(q+a+1, s-m+1); +inf where the weight does not integrate (1-t)^(-m)
+        y = self.s - m + 1.0
+        return coef * beta_integral(q + self.a + 1.0, y) if y > 0.0 else math.inf
+
+    def _pairing_bound(self, q: float, m: int) -> float:
+        # the Beta's rounding at its arguments as formed, plus coef's and the product's
+        x, y = q + self.a + 1.0, self.s - m + 1.0
+        return beta_rounding(x, y, _U * (abs(q + self.a) + x), _U * (abs(self.s - m) + y)) + 2.0 * _U
 
     def _diagonal_sum(self, alpha, beta, t, tol):
         return _radial_power_S(alpha, beta, self.s, self.a, t, tol)
 
-    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
-        # the single band misses the diagonal unless alpha = beta; on it the
-        # entries decay like n^(2 alpha - s): a power-law tail
-        s, a = self.s, self.a
-        if alpha != beta:
-            return 0.0
-        if s - 2 * alpha - 1 <= 0.0:
-            return math.inf
-        # the diagonal starts at n = alpha; a truncation below that misses it all
-        start, m_far = max(dim, alpha), max(8 * dim, 200_000)
-        n = np.arange(start, m_far, dtype=float)
-        ratios = (
-            (n + 2.0)
-            / (n + 1.0)
-            * ((n + 1.0) / (n + 1.0 - alpha)) ** 2
-            * (n - alpha + a + 1.0)
-            / (n - alpha + a + s + 2.0)
-        )
-        first = self.entry(alpha, alpha, start, start).real
-        d_tail = first * np.concatenate(([1.0], np.cumprod(ratios[:-1])))
-        # positive terms: a pairwise sum errs far less than the doubled remainder adds
-        head = float(np.sum(d_tail))
-        # power-law remainder beyond the summed stretch, doubled for safety
-        c_loc = -math.log(d_tail[-1] / d_tail[-2]) / math.log(m_far / (m_far - 1.0))
-        remainder = d_tail[-1] * m_far / (c_loc - 1.0) if c_loc > 1.0 else math.inf
-        return head + 2.0 * remainder
-
     def boundary_weight(self, order: int) -> tuple[float, float]:
-        exponent = self.s - order
-        if exponent > -1.0:
-            return beta_integral(self.a + 1.0, exponent + 1.0), exponent
-        return math.inf, exponent
+        return self._pairing(1.0, 0, order), self.s - order
 
 
 def _check_radius(r0: float) -> None:
@@ -404,22 +415,22 @@ class CircleUniform(_Radial):
     def radial_moment(self, p: int) -> float:
         return self.r0 ** (2 * p)
 
-    def _kernel_term(self, coef: float, p_conj: int, m: int) -> float:
+    def _pairing(self, coef: float, q: float, m: int) -> float:
         t0 = self.r0**2
-        return coef * t0**p_conj * (1.0 - t0) ** (-m)
+        return coef * t0**q * (1.0 - t0) ** (-m)
+
+    def _pairing_bound(self, q: float, m: int) -> float:
+        # 1 - t0 carries t0's rounding, t0 u / (1 - t0), and its own
+        return _mass_bound(q, m, 1.0 / (1.0 - self.r0**2))
 
     def _diagonal_sum(self, alpha, beta, t, tol):
         # S = 2F1(alpha+2, beta+2; 1; y) in closed form, over (1-y)^(alpha+beta+3)
         y = t * self.r0 * self.r0
         S = _euler_hyp2f1(alpha, beta, y)
-        return S, _rounding_bar(alpha + beta + 3, y, t) * S
-
-    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
-        # the single band misses the diagonal unless alpha = beta
-        return _kernel_diag_tail(self.r0**2, alpha, alpha, dim) if alpha == beta else 0.0
+        return S, _EPS * (alpha + beta + 3) / (1.0 - y) * S  # rounding through (1-y)^-power
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
-        return (1.0 - self.r0**2) ** (-order), math.inf
+        return self._pairing(1.0, 0, order), math.inf
 
 
 @dataclass(frozen=True)
@@ -459,8 +470,14 @@ class PointMass(_Atom):
         col = row if alpha == beta else vector(alpha)  # input side, index m
         return ((1.0, _RankOne(_sign(alpha, beta), row, col, alpha - beta)),)
 
-    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
-        return _kernel_diag_tail((self.z0 * self.z0.conjugate()).real, alpha, beta, dim)
+    def _pairing(self, coef: float, q: float, m: int) -> float:
+        # x = |z0|^2 and 1 - x each rounded once from the exact rational: a
+        # rounded x would move the pairing by u (q + m x/(1-x)) relative
+        x = Fraction(self.z0.real) ** 2 + Fraction(self.z0.imag) ** 2
+        return coef * float(x) ** q * float(1 - x) ** (-m)
+
+    def _pairing_bound(self, q: float, m: int) -> float:
+        return _mass_bound(q, m, 1.0)
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         return _sign(alpha, beta) * d_alpha_beta_eval(self.z0, alpha, beta, tol)
@@ -472,7 +489,7 @@ class PointMass(_Atom):
             * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
             * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
         )
-        return value, 1e-14 * np.abs(value)
+        return value, (1e-14 + _t_rounding(t)) * np.abs(value)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         return (1.0 - abs(self.z0) ** 2) ** (-order), math.inf
@@ -517,9 +534,9 @@ class CircleRadialDerivative(_Atom):
     def factors(self, alpha: int, beta: int, dim: int) -> tuple:
         return ((1.0, _Band(0, self._diagonal(np.arange(dim)))),)
 
-    def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
+    def _tail(self, alpha: int, beta: int, dim: int) -> tuple[float, float]:
         # |diagonal| (n+1) 2n r0^(2n-1) is twice the point-mass (1, 0) one at |z0| = r0
-        return 2.0 * _kernel_diag_tail(self.r0**2, 1, 0, dim)
+        return tuple(2.0 * v for v in PointMass(self.r0)._tail(1, 0, dim))
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         r0 = self.r0
@@ -531,7 +548,7 @@ class CircleRadialDerivative(_Atom):
         r0 = self.r0
         y = t * r0 * r0
         value = -((1.0 - t) ** 2) * (2.0 / r0) * (2.0 * y * (2.0 + y) / (1.0 - y) ** 4)
-        return value, _rounding_bar(16, y, t) * np.abs(value)
+        return value, (_EPS * 16 / (1.0 - y) + _t_rounding(t)) * np.abs(value)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         # the absolute pairing with the weight: |d/dr (1-r^2)^(-order)| at r0
@@ -615,6 +632,9 @@ class Combination:
 
     def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
         return sum((abs(c) * atom.diagonal_tail(alpha, beta, dim) for c, atom in self._nonzero()), 0.0)
+
+    def trace_rounding(self, alpha: int, beta: int) -> float:
+        return sum((abs(c) * atom.trace_rounding(alpha, beta) for c, atom in self._nonzero()), 0.0)
 
     def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
         return self._sum("closed_trace", (alpha, beta, tol), 0.0 + 0.0j)

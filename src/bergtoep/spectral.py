@@ -110,10 +110,12 @@ def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
     """Diagonal sum of the truncation, read from its factors, with a bound
     on the rest of the diagonal.
 
-    The tail is geometric for compactly supported bases and a power-law
-    integral bound for radial power weights (where the diagonal decays
-    like n^(2 alpha - s)); it is +inf when the diagonal series diverges.
-    ``assemble`` checks the dimension, so the 4096 cap holds here too.
+    The tail is the sum of |entries[n, n]| over n >= dim in closed form:
+    the pairing the closed-form route makes, restricted to those entries,
+    padded by its own rounding and never below the exact tail.  It is
+    +inf only for a divergent radial power (s <= 2 alpha + 1) or on
+    overflow.  ``assemble`` checks the dimension, so the 4096 cap holds
+    here too.
     """
     value = sum(c * factor.trace() for c, factor in assemble(symbol, dim).factors)
     return complex(value), symbol.base.diagonal_tail(symbol.alpha, symbol.beta, dim)
@@ -145,15 +147,17 @@ def trace_report(
     """Run all three trace routes and check pairwise agreement.
 
     Agreement thresholds are absolute: closed-form vs matrix at 1e-8 plus
-    the matrix tail, and any pair involving the quadrature route at 1e-5
-    plus the reported error estimates.
+    the matrix tail and twice the base's ``trace_rounding``, one for each
+    value's rounding; any pair involving the quadrature route at 1e-5 plus
+    the reported error estimates.
     """
     check_tol(tol)
     closed = trace_closed_form(symbol, tol=min(tol, 1e-10))
     matrix_value, matrix_tail = trace_matrix(symbol, dim)
     berezin_value, berezin_err = trace_berezin(symbol, tol=tol)
     ok = (
-        abs(closed - matrix_value) <= MATRIX_CLOSED_TOL + matrix_tail
+        abs(closed - matrix_value)
+        <= MATRIX_CLOSED_TOL + matrix_tail + 2.0 * symbol.base.trace_rounding(symbol.alpha, symbol.beta)
         and abs(closed - berezin_value) <= BEREZIN_TOL + berezin_err
         and abs(matrix_value - berezin_value) <= BEREZIN_TOL + matrix_tail + berezin_err
     )

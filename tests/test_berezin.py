@@ -252,6 +252,40 @@ def test_circle_derivative_closed_form_bar_holds_against_mpmath_nsum():
                     assert abs(sample.value - ref) <= sample.est_error, (r0, z)
 
 
+@pytest.mark.parametrize(
+    "symbol",
+    [
+        SymbolSpec(0, 0, PointMass(0.3 + 0.2j)),
+        SymbolSpec(1, 1, PointMass(0.3 + 0.2j)),
+        SymbolSpec(1, 0, PointMass(0.3 + 0.2j)),
+        SymbolSpec(1, 1, RadialPower(s=4.0)),
+        SymbolSpec(0, 0, RadialPower(s=2.0)),
+        SymbolSpec(2, 1, RadialPower(s=5.0)),
+    ],
+)
+def test_bar_covers_the_rounding_of_t_next_to_the_fence(symbol):
+    # at |z| = 1 - 1e-6 the rounding of t = |z|^2 moves (1-t)^2 by 2 eps/(1-t)
+    # relative; 40-digit mpmath at the exact binary value of each z
+    import mpmath
+
+    alpha, beta, base = symbol.alpha, symbol.beta, symbol.base
+    sign = (-1) ** (alpha + beta) * math.factorial(alpha + 1) * math.factorial(beta + 1)
+    with mpmath.workdps(40):
+        for z in (complex(1.0 - BOUNDARY_MARGIN), cmath.rect(1.0 - BOUNDARY_MARGIN, 0.7)):
+            w = mpmath.mpc(z.real, z.imag)
+            t = w.real**2 + w.imag**2
+            prefactor = sign * mpmath.conj(w) ** alpha * w**beta * (1 - t) ** 2
+            if base.kind == "point_mass":
+                z0 = mpmath.mpc(base.z0.real, base.z0.imag)
+                S = (1 - mpmath.conj(w) * z0) ** -(2 + alpha) * (1 - w * mpmath.conj(z0)) ** -(2 + beta)
+            else:
+                S = mpmath.beta(base.a + 1, base.s + 1) * mpmath.hyp3f2(
+                    alpha + 2, beta + 2, base.a + 1, 1, base.a + base.s + 2, t
+                )
+            sample = berezin_series(symbol, z)
+            assert abs(sample.value - complex(prefactor * S)) <= sample.est_error, z
+
+
 def test_radial_power_branches_are_continuous_at_handover():
     s_below, _ = _radial_power_S(1, 1, 4.0, 0.0, 0.809999, 1e-13)
     s_above, _ = _radial_power_S(1, 1, 4.0, 0.0, 0.810001, 1e-13)

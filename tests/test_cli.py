@@ -295,6 +295,22 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
     assert json.loads(err)["error"]["type"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--symbol", POINT, "--dim", "2"),
+        ("spectrum", "--symbol", POINT, "--dim", "8"),
+        ("carleson", "--symbol", POINT, "--k", "1"),
+    ],
+)
+def test_commands_that_read_no_tolerance_reject_tol(capsys, argv):
+    assert run(capsys, *argv)[0] == 0
+    code, out, err = run(capsys, *argv, "--tol", "123")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "usage" and "--tol" in error["message"]
+
+
 def test_trace_holds_the_dimension_cap(capsys):
     symbol = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.5}}'
     code, out, err = run(capsys, "trace", "--dim", "20000", "--symbol", symbol)

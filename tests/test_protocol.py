@@ -14,6 +14,7 @@ import pytest
 
 import bergtoep.measures as measures
 from bergtoep.berezin import berezin_matrix
+from bergtoep.bergman import d_alpha_beta_terms
 from bergtoep.cli import main, symbol_from_config
 from bergtoep.errors import UnsupportedSymbolError
 from bergtoep.measures import (
@@ -74,6 +75,8 @@ def test_protocol_conformance(base, alpha, beta):
     value, _ = trace_matrix(SymbolSpec(alpha, beta, base), DIM)
     tail = base.diagonal_tail(alpha, beta, DIM)
     assert isinstance(value, complex) and isinstance(tail, float) and tail >= 0.0
+    rounding = base.trace_rounding(alpha, beta)
+    assert isinstance(rounding, float) and 0.0 <= rounding <= 1e-12 * base.diagonal_tail(alpha, beta, 0)
     assert isinstance(base.closed_trace(alpha, beta, 1e-10), complex)
 
     t = (Z * Z.conjugate()).real
@@ -157,15 +160,17 @@ def test_zero_coefficient_terms_are_skipped_by_every_route(capsys):
     assert json.loads(capsys.readouterr().out)["agree"] is True
 
 
-def test_exhausted_diagonal_walk_gives_infinite_tail(monkeypatch):
-    # near the circle the term ratios stay above 1 past the series cap,
-    # which the last ratio shows without walking the series
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the exhausted walk ran")
+def test_diagonal_tail_next_to_the_circle_is_finite():
+    # |z0|^2 = 1 - 2e-6: the term ratios stay above 1 for ~10^6 terms, which
+    # no walk could pass; the closed form gives the rest of the kernel sum
+    import mpmath
 
-    monkeypatch.setattr(measures, "ratio_series", no_walk)
     value, tail = trace_matrix(SymbolSpec(2, 2, PointMass(0.999999)), 64)
-    assert math.isfinite(value.real) and tail == math.inf
+    with mpmath.workdps(40):
+        x = mpmath.mpf(0.999999) ** 2
+        kernel = mpmath.fsum(c * x ** ((p_conj + p) / 2) * (1 - x) ** -m for c, p_conj, p, m in d_alpha_beta_terms(2, 2))
+        rest = float(kernel - mpmath.mpf(value.real))
+    assert math.isfinite(value.real) and rest <= tail <= rest * (1.0 + 1e-12)
 
 
 def test_non_string_kind_is_a_usage_error(capsys):

@@ -122,6 +122,30 @@ def test_trace_matrix_truncation_below_the_band_start():
     assert tail >= closed - value.real
 
 
+@pytest.mark.parametrize("order,r0,dim", [(3, 0.9, 128), (3, 0.9, 256), (2, 0.95, 256)])
+def test_large_traces_agree_beside_an_exact_tail(order, r0, dim):
+    # traces of 1e8..2e9: the closed and matrix values round ~1e-6 apart,
+    # more than a fixed 1e-8 beside a tail that is exact; the allowance
+    # for that is the rounding bound, a few hundred ulps of the trace
+    base = CircleUniform(r0)
+    report = trace_report(SymbolSpec(order, order, base), dim=dim)
+    closed, matrix = report.route_closed_form.real, report.route_matrix.real
+    assert closed > 1e8 and abs(closed - matrix) > 1e-8 + report.matrix_tail
+    assert report.agree and 2.0 * base.trace_rounding(order, order) < 1e-13 * closed
+
+
+def test_closed_matrix_gate_rejects_more_than_rounding(monkeypatch):
+    # the closed form moved by 1e-13 relative, eight times the rounding
+    # allowance and well inside the quadrature route's error bar
+    symbol = SymbolSpec(3, 3, CircleUniform(0.9))
+    closed = trace_closed_form(symbol, tol=1e-10) * (1.0 + 1e-13)
+    assert 2.0 * symbol.base.trace_rounding(3, 3) < 1.25e-14 * closed.real
+    monkeypatch.setattr(spectral, "trace_closed_form", lambda *args, **kwargs: closed)
+    report = trace_report(symbol, dim=1024)
+    assert abs(closed - report.route_berezin) <= 1e-5 + report.berezin_error
+    assert not report.agree
+
+
 def test_trace_matrix_divergent_diagonal_reports_infinite_tail():
     value, tail = trace_matrix(SymbolSpec(1, 1, RadialPower(s=2.0)), 32)
     assert math.isinf(tail)

@@ -1,7 +1,8 @@
-"""Every (module, function) the benchmark tracer wraps exists in bergtoep.
+"""Every name the benchmark reaches in bergtoep exists.
 
-The tracer fetches each name with ``getattr``, so a renamed or deleted
-function breaks every traced benchmark run.  The tracer file is only read
+The tracer fetches each (module, function) it wraps with ``getattr``, and
+the workloads import names from the package, so a renamed or deleted
+function would break a benchmark run.  The benchmark files are only read
 (parsed with ``ast``), never imported.
 """
 
@@ -11,7 +12,8 @@ import ast
 import importlib
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _wrapped_names() -> list[tuple[str, str]]:
@@ -31,5 +33,28 @@ def test_every_traced_name_resolves():
         f"{module}.{name}"
         for module, name in wrapped
         if not callable(getattr(importlib.import_module(f"bergtoep.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def _package_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) of every ``from bergtoep[.x] import name`` in
+    perfbench/*.py, at any depth of the file."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                if node.module == "bergtoep" or node.module.startswith("bergtoep."):
+                    found.extend((path.name, node.module, alias.name) for alias in node.names)
+    return found
+
+
+def test_every_benchmark_import_resolves():
+    imports = _package_imports()
+    assert imports
+    missing = [
+        f"{file}: from {module} import {name}"
+        for file, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
