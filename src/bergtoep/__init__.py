@@ -15,7 +15,7 @@ from .berezin import (
     invariant_integral,
     weighted_berezin_radial,
 )
-from .bergman import basis_deriv_coeff, d_alpha_beta_closed, d_alpha_beta_eval, kernel_deriv_eval
+from .bergman import basis_deriv_coeff, d_alpha_beta_eval, kernel_deriv_eval
 from .errors import (
     BoundaryError,
     NotTraceClassError,
@@ -81,7 +81,6 @@ __all__ = [
     "berezin_series",
     "carleson_bound_estimate",
     "carleson_integral",
-    "d_alpha_beta_closed",
     "d_alpha_beta_eval",
     "decay_fit",
     "ensure_trace_class",

@@ -8,20 +8,17 @@ derivative kernel
               = sum over j >= max(a, b) of
                 (j+1) [j!/(j-a)!] [j!/(j-b)!] w^(j-a) conj(w)^(j-b),
 
-which the trace formula pairs against the base measure.  Series are summed
-by ``numutil.ratio_series`` (compensated, with a term-ratio geometric tail
-bound); all factorial-like coefficients are carried by multiplicative
-recurrences.
+which the trace formula pairs against the base measure.  Every kernel
+here is a finite sum: the product rule writes D(a, b) as min(a, b) + 1
+terms in w, conj(w) and (1 - |w|^2), so no series is summed.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import BoundaryError
-from .numutil import check_tol, falling_factorial, int_factorial, ratio_series
+from .numutil import falling_factorial, int_factorial
 
 __all__ = [
     "basis_deriv_coeff",
@@ -29,7 +26,6 @@ __all__ = [
     "kernel_deriv_norm",
     "d_alpha_beta_eval",
     "d_alpha_beta_terms",
-    "d_alpha_beta_closed",
 ]
 
 # evaluation points stay this far inside the unit circle
@@ -84,35 +80,15 @@ def kernel_deriv_norm(z0: complex, gamma: int) -> float:
     return math.sqrt(math.fsum(coef * x**p * (1.0 - x) ** -m for coef, _, p, m in terms))
 
 
-def d_alpha_beta_eval(w: complex, alpha: int, beta: int, tol: float = 1e-10) -> complex:
-    """Derivative kernel D(alpha, beta)(w) by its power series.
-
-    Stops once the geometric tail bound (current term times ratio/(1-ratio))
-    drops below tol; the term ratio tends to |w|^2 from above.
-    """
+def d_alpha_beta_eval(w: complex, alpha: int, beta: int) -> complex:
+    """Derivative kernel D(alpha, beta)(w) by the finite product-rule
+    expansion ``d_alpha_beta_terms``, for |w| <= 1 - ``BOUNDARY_MARGIN``."""
     w = complex(w)
-    if alpha < 0 or beta < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    check_tol(tol)
-    if not abs(w) <= 1.0 - BOUNDARY_MARGIN:
-        raise BoundaryError(
-            f"derivative kernel series needs |w| <= {1.0 - BOUNDARY_MARGIN}, got |w|={abs(w)}"
-        )
-    t = (w * w.conjugate()).real
-    t_row = np.array([t])
-    j0 = max(alpha, beta)
-    # every term is a real coefficient times this monomial times t^(j - j0)
-    monomial = w ** (j0 - alpha) * w.conjugate() ** (j0 - beta)
-
-    def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-        # term j+1 over term j is this ratio times |w|^2
-        j = j0 + p
-        ratio = (j + 2.0) / (j + 1.0) * ((j + 1.0) / (j + 1.0 - alpha)) * ((j + 1.0) / (j + 1.0 - beta))
-        return ratio * t_row[rows]
-
-    first = (j0 + 1.0) * falling_factorial(j0, alpha) * falling_factorial(j0, beta)
-    series, _ = ratio_series([first], ratio_at, tol / (abs(monomial) or 1.0))
-    return monomial * float(series[0])
+    if not abs(w) <= 1.0 - BOUNDARY_MARGIN:  # NaN included
+        raise BoundaryError(f"derivative kernel needs |w| <= {1.0 - BOUNDARY_MARGIN}, got |w|={abs(w)}")
+    u = 1.0 - (w * w.conjugate()).real
+    terms = d_alpha_beta_terms(alpha, beta)  # rejects negative orders
+    return sum(coef * w.conjugate() ** p_conj * w**p * u ** (-m) for coef, p_conj, p, m in terms)
 
 
 def d_alpha_beta_terms(alpha: int, beta: int) -> list[tuple[float, int, int, int]]:
@@ -140,15 +116,3 @@ def d_alpha_beta_terms(alpha: int, beta: int) -> list[tuple[float, int, int, int
         )
         terms.append((coef, alpha - i, beta - i, 2 + alpha + beta - i))
     return terms
-
-
-def d_alpha_beta_closed(w: complex, alpha: int, beta: int) -> complex:
-    """Derivative kernel via the finite product-rule expansion (exact)."""
-    w = complex(w)
-    u = 1.0 - (w * w.conjugate()).real
-    if u <= 0.0:
-        raise BoundaryError("derivative kernel is defined inside the disk")
-    total = 0.0 + 0.0j
-    for coef, p_conj, p, m in d_alpha_beta_terms(alpha, beta):
-        total += coef * w.conjugate() ** p_conj * w**p * u ** (-m)
-    return total

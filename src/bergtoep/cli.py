@@ -12,8 +12,8 @@ with measure kinds
     combination               {"terms": [{"coeff_re": f, "coeff_im": f,
                                           "measure": {...}}, ...]}
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
-3 trace-class gate failure (the divergence exponent is in the report).
+Exit codes: 0 success, 1 usage or config error, 2 numerical failure or
+overflow, 3 trace-class gate failure (the divergence exponent is in the report).
 Output is deterministic: identical argv yields byte-identical stdout.
 """
 
@@ -300,7 +300,7 @@ def _cmd_trace(args) -> tuple[str, int]:
         "symbol": symbol_to_config(symbol),
         "dim": args.dim,
         "routes": {
-            "closed_form": {"value": report.route_closed_form, "error_estimate": min(args.tol, 1e-10)},
+            "closed_form": {"value": report.route_closed_form, "error_estimate": report.closed_error},
             "matrix": {"value": report.route_matrix, "error_estimate": report.matrix_tail},
             "berezin": {"value": report.route_berezin, "error_estimate": report.berezin_error},
         },
@@ -475,7 +475,7 @@ def run_command(argv: list[str]) -> int:
             "not-trace-class", str(exc), divergence_exponent=exc.divergence_exponent
         )
         return 3
-    except NumericalFailureError as exc:
+    except (NumericalFailureError, OverflowError) as exc:
         _emit_error("numerical-failure", str(exc))
         return 2
     except (UnsupportedSymbolError, BoundaryError, ValueError) as exc:

@@ -23,9 +23,9 @@ from typing import Union
 import numpy as np
 
 from .berezin import _euler_hyp2f1, _ipow, _prefactor, _radial_power_S
-from .bergman import basis_deriv_coeff, d_alpha_beta_eval, d_alpha_beta_terms
+from .bergman import basis_deriv_coeff
 from .errors import UnsupportedSymbolError
-from .numutil import beta_integral, beta_rounding, int_factorial
+from .numutil import beta_integral, beta_rounding, check_integer, int_factorial
 
 __all__ = [
     "RadialPower",
@@ -248,10 +248,9 @@ class _Atom:
       n >= dim, the remainder of the trace the factors' ``trace()`` sum, in
       closed form (``_diagonal_tail``) padded by its own rounding: +inf only
       for a divergent radial power or on overflow;
-    - ``trace_rounding(alpha, beta)``: that pad at dim 0, the rounding of
-      the whole diagonal's pairing from the measure's rounded parameters;
-    - ``closed_trace(alpha, beta, tol)``: the pairing with the derivative
-      kernel;
+    - ``closed_trace(alpha, beta)``: (value, bound) of the pairing with
+      the derivative kernel, the whole diagonal: the unit every entry
+      shares (``_unit``) times the tail from n = 0, padded;
     - ``berezin(alpha, beta, z, t, tol)``: (values, error estimates) of
       the transform at the 1-d array z, with t = |z|^2;
     - ``sampler_budget(alpha, beta, tol)``: how far a pointwise transform
@@ -288,8 +287,15 @@ class _Atom:
     def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
         return sum(self._tail(alpha, beta, dim))
 
-    def trace_rounding(self, alpha: int, beta: int) -> float:
-        return self._tail(alpha, beta, 0)[1]
+    def _unit(self, alpha: int, beta: int) -> tuple[complex, float]:
+        # (unit, bound on its rounding and the product's): +1 for the radial kinds, empty off alpha = beta
+        return 1.0, 0.0
+
+    def closed_trace(self, alpha: int, beta: int) -> tuple[complex, float]:
+        # |U'T' - UT| <= |U'| pad + |U' - U| T with U' within r of U, T' within pad of T
+        total, pad = self._tail(alpha, beta, 0)
+        unit, rounding = self._unit(alpha, beta)
+        return complex(unit * total), pad + rounding * (total + 2.0 * pad)
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         # the transform carries a (1-|z|^2)^2 factor that cancels the
@@ -329,16 +335,6 @@ class _Radial(_Atom):
             * np.array([self.radial_moment(p) for p in range(n.size)])
         )
         return ((1.0, _Band(alpha - beta, values)),)
-
-    def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
-        if alpha != beta:
-            # rotation invariance: every surviving kernel term carries a
-            # nonzero angular frequency, so the pairing vanishes identically
-            return 0.0 + 0.0j
-        total = 0.0
-        for coef, p_conj, _p, m in d_alpha_beta_terms(alpha, beta):
-            total += self._pairing(coef, p_conj, m)
-        return complex(_sign(alpha, beta) * total)
 
     def _tail(self, alpha: int, beta: int, dim: int) -> tuple[float, float]:
         # the single band misses the diagonal unless alpha = beta
@@ -479,8 +475,15 @@ class PointMass(_Atom):
     def _pairing_bound(self, q: float, m: int) -> float:
         return _mass_bound(q, m, 1.0)
 
-    def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
-        return _sign(alpha, beta) * d_alpha_beta_eval(self.z0, alpha, beta, tol)
+    def _unit(self, alpha: int, beta: int) -> tuple[complex, float]:
+        # sign (z0/|z0|)^k, the phase of conj(z0)^(n-beta) z0^(n-alpha): |k| factors
+        # within 1.5 eps (abs, a division), |k| - 1 complex products within
+        # sqrt(2) gamma_2 (Higham, Lemma 3.5), u for the product with the tail
+        k = beta - alpha
+        if k == 0 or self.z0 == 0:
+            return _sign(alpha, beta), 0.0
+        phase = self.z0 / abs(self.z0)
+        return _sign(alpha, beta) * (phase if k > 0 else phase.conjugate()) ** abs(k), 3.0 * abs(k) * _EPS
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
         z0 = self.z0
@@ -538,9 +541,8 @@ class CircleRadialDerivative(_Atom):
         # |diagonal| (n+1) 2n r0^(2n-1) is twice the point-mass (1, 0) one at |z0| = r0
         return tuple(2.0 * v for v in PointMass(self.r0)._tail(1, 0, dim))
 
-    def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
-        r0 = self.r0
-        return complex(-4.0 * r0 / (1.0 - r0 * r0) ** 3)
+    def _unit(self, alpha: int, beta: int) -> tuple[complex, float]:
+        return -1.0, 0.0
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
         # minus d/dr at r0 of the angular average of |k_z|^2, (1-t)^2 (2/r0)
@@ -633,11 +635,8 @@ class Combination:
     def diagonal_tail(self, alpha: int, beta: int, dim: int) -> float:
         return sum((abs(c) * atom.diagonal_tail(alpha, beta, dim) for c, atom in self._nonzero()), 0.0)
 
-    def trace_rounding(self, alpha: int, beta: int) -> float:
-        return sum((abs(c) * atom.trace_rounding(alpha, beta) for c, atom in self._nonzero()), 0.0)
-
-    def closed_trace(self, alpha: int, beta: int, tol: float) -> complex:
-        return self._sum("closed_trace", (alpha, beta, tol), 0.0 + 0.0j)
+    def closed_trace(self, alpha: int, beta: int) -> tuple[complex, float]:
+        return self._sum("closed_trace", (alpha, beta), 0.0 + 0.0j, 0.0)
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
         return self._sum(
@@ -728,10 +727,10 @@ class SymbolSpec:
     base: BaseMeasure
 
     def __post_init__(self):
+        check_integer(self.alpha, "alpha")
+        check_integer(self.beta, "beta")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("derivative orders must be nonnegative")
-        if int(self.alpha) != self.alpha or int(self.beta) != self.beta:
-            raise ValueError("derivative orders must be integers")
         if self.alpha + self.beta > MAX_DERIVATIVE_ORDER:
             raise ValueError(
                 f"alpha + beta capped at {MAX_DERIVATIVE_ORDER} (factorial growth), "

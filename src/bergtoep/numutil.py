@@ -5,6 +5,7 @@ bound, and Gauss-Legendre rules."""
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from functools import lru_cache
 from typing import Callable
@@ -20,6 +21,12 @@ def check_tol(tol: float) -> None:
     """Reject a tolerance that is not finite and positive, NaN included."""
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
+
+
+def check_integer(value, what: str) -> None:
+    """Reject bools and non-integers; Python and numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def beta_integral(x: float, y: float) -> float:

@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .measures import SymbolSpec
+from .numutil import check_integer
 
 __all__ = ["TruncatedOperator", "entry", "assemble", "adjoint_symbol"]
 
@@ -35,6 +36,7 @@ class TruncatedOperator:
     symbol: SymbolSpec
 
     def __post_init__(self):
+        check_integer(self.dim, "truncation dimension")
         if self.dim < 1:
             raise ValueError("truncation dimension must be positive")
         if self.dim > MAX_DIMENSION:

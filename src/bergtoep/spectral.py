@@ -54,6 +54,7 @@ class TraceReport:
     route_berezin: complex
     berezin_error: float
     route_closed_form: complex | None
+    closed_error: float
     agree: bool
     reference_value: complex | None = None
     reference_ratio: float | None = None
@@ -94,16 +95,13 @@ def ensure_trace_class(symbol: SymbolSpec) -> None:
         )
 
 
-def trace_closed_form(symbol: SymbolSpec, tol: float = 1e-10) -> complex:
-    """Trace as the pairing of the symbol with (1 - |w|^2)^(-2).
-
-    Equals (-1)^(alpha+beta) times the derivative kernel D(alpha, beta)
-    integrated against the base measure; radial bases kill every
-    off-diagonal angular term, leaving finite Beta-integral sums.
-    """
-    check_tol(tol)
+def trace_closed_form(symbol: SymbolSpec) -> tuple[complex, float]:
+    """(value, bound): (-1)^(alpha+beta) times the derivative kernel
+    D(alpha, beta) paired with the base measure, which is the whole
+    diagonal, the matrix route's tail from n = 0 times one unit factor:
+    a finite sum of positive pairings, with a derived rounding bound."""
     ensure_trace_class(symbol)
-    return symbol.base.closed_trace(symbol.alpha, symbol.beta, tol)
+    return symbol.base.closed_trace(symbol.alpha, symbol.beta)
 
 
 def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
@@ -147,17 +145,16 @@ def trace_report(
     """Run all three trace routes and check pairwise agreement.
 
     Agreement thresholds are absolute: closed-form vs matrix at 1e-8 plus
-    the matrix tail and twice the base's ``trace_rounding``, one for each
+    the matrix tail and twice the closed route's bound, one for each
     value's rounding; any pair involving the quadrature route at 1e-5 plus
-    the reported error estimates.
+    the reported error estimates.  ``tol`` is the Berezin route's.
     """
     check_tol(tol)
-    closed = trace_closed_form(symbol, tol=min(tol, 1e-10))
+    closed, closed_error = trace_closed_form(symbol)
     matrix_value, matrix_tail = trace_matrix(symbol, dim)
     berezin_value, berezin_err = trace_berezin(symbol, tol=tol)
     ok = (
-        abs(closed - matrix_value)
-        <= MATRIX_CLOSED_TOL + matrix_tail + 2.0 * symbol.base.trace_rounding(symbol.alpha, symbol.beta)
+        abs(closed - matrix_value) <= MATRIX_CLOSED_TOL + matrix_tail + 2.0 * closed_error
         and abs(closed - berezin_value) <= BEREZIN_TOL + berezin_err
         and abs(matrix_value - berezin_value) <= BEREZIN_TOL + matrix_tail + berezin_err
     )
@@ -170,6 +167,7 @@ def trace_report(
         route_berezin=berezin_value,
         berezin_error=berezin_err,
         route_closed_form=closed,
+        closed_error=closed_error,
         agree=bool(ok),
         reference_value=reference_value,
         reference_ratio=ratio,

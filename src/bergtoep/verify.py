@@ -235,7 +235,7 @@ def _run_rank_one_case(case: OracleCase) -> tuple[tuple[dict, ...], float | None
         }
         ok = ratio <= 1e-10 and row["s0_deviation"] <= case.tolerance * max(1.0, norm_product)
         if alpha == beta:
-            trace = trace_closed_form(symbol).real
+            trace = trace_closed_form(symbol)[0].real
             row["trace"] = trace
             ok = ok and abs(float(svals[0]) - trace) <= case.tolerance * max(1.0, abs(trace))
         row["passed"] = bool(ok)

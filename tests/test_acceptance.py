@@ -56,7 +56,7 @@ def test_criterion_01_circle_radial_derivative_trace_three_routes():
     for r0 in (0.3, 0.5, 0.7):
         symbol = SymbolSpec(0, 0, CircleRadialDerivative(r0))
         reference = -4.0 * r0 / (1.0 - r0 * r0) ** 3
-        closed = trace_closed_form(symbol).real
+        closed = trace_closed_form(symbol)[0].real
         matrix, _ = trace_matrix(symbol, 120)
         berezin, _ = trace_berezin(symbol)
         for value in (closed, matrix.real, berezin.real):
@@ -78,7 +78,7 @@ def test_criterion_02_point_derivative_traces():
 
     symbol = SymbolSpec(1, 1, PointMass(0.5))
     reference = 2.0 * 1.5 / 0.75**4
-    closed = trace_closed_form(symbol).real
+    closed = trace_closed_form(symbol)[0].real
     matrix, _ = trace_matrix(symbol, 64)
     berezin, _ = trace_berezin(symbol)
     dev = max(abs(v - reference) for v in (closed, matrix.real, berezin.real))
@@ -131,7 +131,7 @@ def test_criterion_05_rank_one_law():
         ok = ok and ratio <= 1e-10
         details.append(f"({alpha},{beta}) s1/s0={ratio:.2e}")
         if alpha == beta:
-            trace = trace_closed_form(symbol).real
+            trace = trace_closed_form(symbol)[0].real
             ok = ok and abs(svals[0] - trace) <= 1e-8
     assert _report(5, ok, ", ".join(details))
 

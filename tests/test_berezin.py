@@ -380,8 +380,6 @@ def test_tolerances_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         berezin_series(SymbolSpec(1, 1, RadialPower(s=4.0)), 0.3, tol=tol)
     with pytest.raises(ValueError, match="finite and positive"):
-        d_alpha_beta_eval(0.3, 1, 1, tol=tol)
-    with pytest.raises(ValueError, match="finite and positive"):
         invariant_integral(lambda z: 1.0, True, tol=tol)
 
 

@@ -311,6 +311,62 @@ def test_commands_that_read_no_tolerance_reject_tol(capsys, argv):
     assert error["type"] == "usage" and "--tol" in error["message"]
 
 
+def _kernel_pairing(terms, alpha: int, beta: int):
+    """(-1)^(alpha+beta) sum of c D(alpha, beta)(w) over (c, w) at 50
+    digits, D by mpmath's derivatives of (1 - x y)^(-2) at x = w, y = conj(w)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return (-1) ** (alpha + beta) * mpmath.fsum(
+            mpmath.mpc(c) * mpmath.diff(lambda x, y: (1 - x * y) ** -2, (mpmath.mpc(w), mpmath.conj(mpmath.mpc(w))), (alpha, beta))
+            for c, w in terms
+        )
+
+
+@pytest.mark.parametrize(
+    "measure,alpha,beta,terms",
+    [
+        # a circle is its kernel at r0 for alpha = beta: 2.09e9, whose
+        # rounding once outgrew a fixed 1e-10 bar
+        ({"kind": "circle_uniform", "r0": 0.9}, 3, 3, [(1, 0.9)]),
+        ({"kind": "point_mass", "re": 0.95}, 2, 2, [(1, 0.95)]),
+        ({"kind": "point_mass", "re": 0.6, "im": 0.3}, 2, 1, [(1, 0.6 + 0.3j)]),
+        (
+            {"kind": "combination", "terms": [
+                {"coeff_re": 0.5, "coeff_im": 0.0, "measure": {"kind": "circle_uniform", "r0": 0.7}},
+                {"coeff_re": 1.0, "coeff_im": -2.0, "measure": {"kind": "point_mass", "re": 0.4, "im": 0.5}},
+            ]},
+            1, 1, [(0.5, 0.7), (1 - 2j, 0.4 + 0.5j)],
+        ),
+    ],
+)
+def test_trace_closed_form_bar_covers_a_50_digit_value(capsys, measure, alpha, beta, terms):
+    symbol = json.dumps({"alpha": alpha, "beta": beta, "measure": measure})
+    code, out, _ = run(capsys, "trace", "--symbol", symbol, "--dim", "32")
+    assert code == 0
+    route = json.loads(out)["routes"]["closed_form"]
+    value, bar = complex(route["value"]["re"], route["value"]["im"]), route["error_estimate"]
+    ref = _kernel_pairing(terms, alpha, beta)
+    assert 0.0 < bar <= 1e-12 * abs(complex(ref))
+    assert abs(value - ref) <= bar
+    # CSV and text carry the same bar
+    _, csv_out, _ = run(capsys, "trace", "--symbol", symbol, "--dim", "32", "--format", "csv")
+    assert csv_out.splitlines()[1].split(",")[3] == repr(bar)
+    _, text_out, _ = run(capsys, "trace", "--symbol", symbol, "--dim", "32", "--format", "text")
+    assert f"(err est {bar:.10g})" in text_out.splitlines()[0]
+
+
+NEAR_CIRCLE = '{"alpha":16,"beta":16,"measure":{"kind":"circle_uniform","r0":0.999999999999}}'
+
+
+@pytest.mark.parametrize("argv", [("trace", "--symbol", NEAR_CIRCLE), ("carleson", "--symbol", NEAR_CIRCLE, "--k", "16")])
+def test_float_overflow_is_a_numerical_failure(capsys, argv):
+    # (1 - r0^2)^-34 is past the float range: exit 2 with a JSON error,
+    # not a traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "numerical-failure"
+
+
 def test_trace_holds_the_dimension_cap(capsys):
     symbol = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.5}}'
     code, out, err = run(capsys, "trace", "--dim", "20000", "--symbol", symbol)

@@ -1,9 +1,11 @@
 """The matrix route's diagonal tail against mpmath: the full pairing of the
 measure with the derivative kernel minus the head of the diagonal, at 60
-digits and more, for every kind."""
+digits and more, for every kind; and the closed route, that tail from
+n = 0 times one unit factor, against the pairing itself."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import mpmath
@@ -18,7 +20,7 @@ from bergtoep.measures import (
     RadialPower,
     SymbolSpec,
 )
-from bergtoep.spectral import trace_matrix
+from bergtoep.spectral import trace_closed_form, trace_matrix
 
 
 def _mass_tail(x, alpha: int, beta: int, dim: int):
@@ -103,17 +105,74 @@ def test_tail_is_exact_up_to_its_rounding_pad(base, alpha, beta, dims):
             assert exact <= tail <= exact * (1 + mpmath.mpf("1e-10")), (dim, tail, exact)
 
 
-@pytest.mark.parametrize(
-    "base",
-    [RadialPower(s=8.0), RadialPower(s=7.5, a=0.5), CircleUniform(0.6), CircleUniform(0.99), PointMass(0.4 - 0.3j), PointMass(0.9j)],
-)
-@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
-def test_tail_from_zero_is_the_closed_trace(base, alpha):
-    # at dim 0 the tail is the whole diagonal, which the closed-form route
-    # pairs from the kernel's product-rule expansion instead
-    closed = base.closed_trace(alpha, alpha, 1e-14)
-    assert math.isfinite(closed.real) and closed.imag == 0.0
-    assert base.diagonal_tail(alpha, alpha, 0) == pytest.approx(closed.real, rel=1e-13)
+def _kernel(x, y, alpha: int, beta: int):
+    """d^alpha_x d^beta_y (1 - x y)^(-2) by Leibniz: the x-derivative is
+    (alpha+1)! y^alpha (1 - x y)^(-2-alpha), whose y-derivatives split into
+    C(beta, i) alpha!/(alpha-i)! y^(alpha-i) (2+alpha)_(beta-i) x^(beta-i)
+    (1 - x y)^(-2-alpha-beta+i)."""
+    return math.factorial(alpha + 1) * mpmath.fsum(
+        math.comb(beta, i) * math.perm(alpha, i) * mpmath.rf(2 + alpha, beta - i)
+        * y ** (alpha - i) * x ** (beta - i) * (1 - x * y) ** (i - 2 - alpha - beta)
+        for i in range(min(alpha, beta) + 1)
+    )
+
+
+def _closed_reference(base, alpha: int, beta: int):
+    """(-1)^(alpha+beta) <D(alpha, beta), mu> at the float parameters, exactly."""
+    if isinstance(base, Combination):
+        return mpmath.fsum(mpmath.mpc(c.real, c.imag) * _closed_reference(b, alpha, beta) for c, b in base.terms)
+    sign = (-1) ** (alpha + beta)
+    if isinstance(base, PointMass):
+        w = mpmath.mpc(base.z0.real, base.z0.imag)
+        return sign * _kernel(w, mpmath.conj(w), alpha, beta)
+    if isinstance(base, CircleRadialDerivative):
+        r = mpmath.mpf(base.r0)
+        return -4 * r / (1 - r * r) ** 3
+    if alpha != beta:  # rotation invariance
+        return mpmath.mpf(0)
+    if isinstance(base, CircleUniform):
+        return _kernel(mpmath.mpf(base.r0), mpmath.mpf(base.r0), alpha, alpha)
+    # Leibniz term by term against (1-t)^s t^a dt: each is a Beta integral
+    s, a = mpmath.mpf(base.s), mpmath.mpf(base.a)
+    return math.factorial(alpha + 1) * mpmath.fsum(
+        math.comb(alpha, i) * math.perm(alpha, i) * mpmath.rf(2 + alpha, alpha - i)
+        * mpmath.beta(alpha - i + a + 1, s - 1 - 2 * alpha + i)
+        for i in range(alpha + 1)
+    )
+
+
+_ORDERS = [(0, 0), (1, 1), (2, 2), (3, 3), (5, 5), (1, 0), (2, 1), (4, 1), (1, 4), (3, 5)]
+
+
+def _closed_cases():
+    for z0 in (0.0, 0.5, 0.4 - 0.3j, -0.6 + 0.7j, cmath.rect(0.98, 2.0), cmath.rect(0.999, -1.0), 0.99999j):
+        yield from (pytest.param(PointMass(z0), a, b, id=f"point-{z0:.5g}-{a}{b}") for a, b in _ORDERS)
+    for r0 in (0.3, 0.9, 0.995):
+        yield from (pytest.param(CircleUniform(r0), a, b, id=f"circle-{r0}-{a}{b}") for a, b in _ORDERS)
+        yield pytest.param(CircleRadialDerivative(r0), 0, 0, id=f"circle-derivative-{r0}")
+    for a, b in _ORDERS:
+        s = 2 * max(a, b) + 1.5  # past the trace-class threshold 2 alpha + 1
+        yield pytest.param(RadialPower(s=s), a, b, id=f"radial-{s}-{a}{b}")
+        yield pytest.param(RadialPower(s=s + 0.25, a=0.5), a, b, id=f"radial-a-{s}-{a}{b}")
+    combo = Combination(
+        ((0.7 - 1.3j, PointMass(0.4 + 0.5j)), (2.0 + 0.5j, CircleUniform(0.9)), (-1.5, RadialPower(s=9.0, a=0.25)))
+    )
+    yield from (pytest.param(combo, a, b, id=f"combination-{a}{b}") for a, b in ((1, 1), (3, 3), (2, 1), (1, 4)))
+    yield pytest.param(
+        Combination(((1.5j, CircleRadialDerivative(0.7)), (-0.5, PointMass(0.9 - 0.2j)))), 0, 0,
+        id="combination-with-distribution",
+    )
+
+
+@pytest.mark.parametrize("base,alpha,beta", list(_closed_cases()))
+def test_closed_trace_within_its_bound_of_mpmath(base, alpha, beta):
+    # the closed route against the pairing at 60 digits, with no slack
+    # beyond the returned bound
+    value, bound = trace_closed_form(SymbolSpec(alpha, beta, base))
+    with mpmath.workdps(60):
+        ref = _closed_reference(base, alpha, beta)
+        assert abs(mpmath.mpc(value.real, value.imag) - ref) <= bound, (value, complex(ref), bound)
+    assert bound <= 1e-12 * abs(ref) or (ref == 0 and bound == 0.0)
 
 
 def test_overflowing_pairing_gives_infinite_tail():

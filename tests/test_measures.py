@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +146,20 @@ def test_symbol_spec_validation():
     with pytest.raises(ValueError):
         SymbolSpec(1, 0, CircleRadialDerivative(0.5))
     SymbolSpec(0, 0, CircleRadialDerivative(0.5))  # allowed
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, 2.5, math.inf, math.nan, "1", np.float64(1.0), np.bool_(True)])
+def test_symbol_orders_must_be_integers(order):
+    # bools and floats are rejected with ValueError, inf included
+    with pytest.raises(ValueError, match="must be an integer"):
+        SymbolSpec(order, 0, PointMass(0.3))
+    with pytest.raises(ValueError, match="must be an integer"):
+        SymbolSpec(0, order, PointMass(0.3))
+
+
+def test_symbol_orders_accept_numpy_integers():
+    symbol = SymbolSpec(np.int64(2), np.int32(1), PointMass(0.3))
+    assert (symbol.alpha, symbol.beta) == (2, 1)
 
 
 def test_finiteness_report_shape_is_enforced():

@@ -20,6 +20,7 @@ from bergtoep.measures import (
     SymbolSpec,
 )
 from bergtoep.operators import TruncatedOperator, adjoint_symbol, assemble, entry
+from bergtoep.spectral import carleson_bound_estimate, trace_report
 
 
 def test_entry_circle_uniform_diagonal():
@@ -68,6 +69,23 @@ def test_assemble_caps_dimension():
         assemble(SymbolSpec(0, 0, PointMass(0.0)), 5000)
     with pytest.raises(ValueError):
         assemble(SymbolSpec(0, 0, PointMass(0.0)), 0)
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.0, True, np.float64(4.0), "8"])
+def test_truncation_dimension_must_be_an_integer(dim):
+    symbol = SymbolSpec(0, 0, PointMass(0.3))
+    with pytest.raises(ValueError, match="must be an integer"):
+        assemble(symbol, dim)
+
+
+def test_integer_fences_reach_every_dimension_argument():
+    symbol = SymbolSpec(1, 1, PointMass(0.3))
+    with pytest.raises(ValueError, match="must be an integer"):
+        carleson_bound_estimate(PointMass(0.3), 0, [2.5, 4])
+    with pytest.raises(ValueError, match="must be an integer"):
+        trace_report(symbol, dim=True)
+    op = assemble(symbol, np.int64(5))  # numpy integers pass
+    assert op.entries.shape == (5, 5)
 
 
 def test_operator_flags_follow_the_symbol():

@@ -75,9 +75,9 @@ def test_protocol_conformance(base, alpha, beta):
     value, _ = trace_matrix(SymbolSpec(alpha, beta, base), DIM)
     tail = base.diagonal_tail(alpha, beta, DIM)
     assert isinstance(value, complex) and isinstance(tail, float) and tail >= 0.0
-    rounding = base.trace_rounding(alpha, beta)
-    assert isinstance(rounding, float) and 0.0 <= rounding <= 1e-12 * base.diagonal_tail(alpha, beta, 0)
-    assert isinstance(base.closed_trace(alpha, beta, 1e-10), complex)
+    closed, bound = base.closed_trace(alpha, beta)
+    assert isinstance(closed, complex)
+    assert isinstance(bound, float) and 0.0 <= bound <= 1e-12 * base.diagonal_tail(alpha, beta, 0)
 
     t = (Z * Z.conjugate()).real
     values, errors = base.berezin(alpha, beta, Z, t, 1e-10)
@@ -120,6 +120,19 @@ def _isinstance_targets(tree: ast.AST) -> list[tuple[int, set[str]]]:
             names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
             out.append((node.lineno, names))
     return out
+
+
+def test_closed_trace_is_written_once():
+    # one body on _Atom (the unit times the tail from n = 0) and the
+    # linearity rule on Combination; the kinds differ only in ``_unit``
+    tree = ast.parse((SRC / "measures.py").read_text(encoding="utf-8"))
+    owners = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "closed_trace" for f in node.body)
+    }
+    assert owners == {"_Atom", "Combination"}
 
 
 def test_no_kind_branching_outside_measures():

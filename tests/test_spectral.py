@@ -7,6 +7,7 @@ import cmath
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -40,16 +41,16 @@ from bergtoep.spectral import (
 # ------------------------------------------------------------- closed forms
 
 def test_trace_closed_form_circle_radial_derivative():
-    value = trace_closed_form(SymbolSpec(0, 0, CircleRadialDerivative(0.5)))
+    value, _ = trace_closed_form(SymbolSpec(0, 0, CircleRadialDerivative(0.5)))
     assert value.real == pytest.approx(-4.0 * 0.5 / 0.75**3, rel=1e-13)
 
 
 def test_trace_closed_form_point_derivative_at_origin():
-    assert trace_closed_form(SymbolSpec(1, 1, PointMass(0.0))).real == pytest.approx(2.0)
+    assert trace_closed_form(SymbolSpec(1, 1, PointMass(0.0)))[0].real == pytest.approx(2.0)
 
 
 def test_trace_closed_form_one_sided_point_derivative():
-    value = trace_closed_form(SymbolSpec(1, 0, PointMass(0.5)))
+    value, _ = trace_closed_form(SymbolSpec(1, 0, PointMass(0.5)))
     assert value.real == pytest.approx(-2.0 * 0.5 / 0.75**3, rel=1e-9)
 
 
@@ -60,13 +61,13 @@ def test_trace_closed_form_radial_power_telescoping_oracle():
     partial = sum(24.0 * n / ((n + 2) * (n + 3) * (n + 4)) for n in range(1, n_cut))
     exact_tail = 24.0 * (n_cut + 1) / ((n_cut + 2.0) * (n_cut + 3.0))
     assert partial + exact_tail == pytest.approx(4.0, abs=1e-10)
-    value = trace_closed_form(SymbolSpec(1, 1, RadialPower(s=4.0)))
+    value, _ = trace_closed_form(SymbolSpec(1, 1, RadialPower(s=4.0)))
     assert value.real == pytest.approx(4.0, rel=1e-12)
 
 
 def test_trace_closed_form_radial_mixed_orders_vanish():
-    assert trace_closed_form(SymbolSpec(1, 0, RadialPower(s=6.0))) == 0.0
-    assert trace_closed_form(SymbolSpec(2, 1, CircleUniform(0.5))) == 0.0
+    assert trace_closed_form(SymbolSpec(1, 0, RadialPower(s=6.0)))[0] == 0.0
+    assert trace_closed_form(SymbolSpec(2, 1, CircleUniform(0.5)))[0] == 0.0
 
 
 def test_trace_gate_rejects_divergent_radial_power():
@@ -111,7 +112,7 @@ def test_trace_matrix_truncation_below_the_band_start():
     # for orders (2, 2) the diagonal begins at n = 2: tiny truncations see
     # nothing, and the tail estimate must still cover the whole trace
     symbol = SymbolSpec(2, 2, RadialPower(s=6.0))
-    closed = trace_closed_form(symbol).real
+    closed = trace_closed_form(symbol)[0].real
     assert closed == pytest.approx(60.0, rel=1e-12)  # finite Beta-sum oracle
     for dim in (1, 2):
         value, tail = trace_matrix(symbol, dim)
@@ -131,19 +132,50 @@ def test_large_traces_agree_beside_an_exact_tail(order, r0, dim):
     report = trace_report(SymbolSpec(order, order, base), dim=dim)
     closed, matrix = report.route_closed_form.real, report.route_matrix.real
     assert closed > 1e8 and abs(closed - matrix) > 1e-8 + report.matrix_tail
-    assert report.agree and 2.0 * base.trace_rounding(order, order) < 1e-13 * closed
+    assert report.agree and 2.0 * report.closed_error < 1e-13 * closed
 
 
 def test_closed_matrix_gate_rejects_more_than_rounding(monkeypatch):
     # the closed form moved by 1e-13 relative, eight times the rounding
     # allowance and well inside the quadrature route's error bar
     symbol = SymbolSpec(3, 3, CircleUniform(0.9))
-    closed = trace_closed_form(symbol, tol=1e-10) * (1.0 + 1e-13)
-    assert 2.0 * symbol.base.trace_rounding(3, 3) < 1.25e-14 * closed.real
-    monkeypatch.setattr(spectral, "trace_closed_form", lambda *args, **kwargs: closed)
+    closed, bound = trace_closed_form(symbol)
+    closed *= 1.0 + 1e-13
+    assert 2.0 * bound < 1.25e-14 * closed.real
+    monkeypatch.setattr(spectral, "trace_closed_form", lambda *args, **kwargs: (closed, bound))
     report = trace_report(symbol, dim=1024)
     assert abs(closed - report.route_berezin) <= 1e-5 + report.berezin_error
     assert not report.agree
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [SymbolSpec(3, 2, PointMass(0.98)), SymbolSpec(0, 0, CircleRadialDerivative(0.995))],
+    ids=["point-0.98-32", "circle-derivative-0.995"],
+)
+def test_closed_and_matrix_agree_at_the_cap_next_to_the_circle(symbol):
+    # each value within its own bound of the exact trace, so the gap fits
+    # in their sum; a series or a hand formula without a bound did not
+    closed, closed_error = trace_closed_form(symbol)
+    matrix, tail = trace_matrix(symbol, 4096)
+    assert abs(closed - matrix) <= spectral.MATRIX_CLOSED_TOL + tail + 2.0 * closed_error
+
+
+def test_circle_derivative_next_to_the_circle_agrees():
+    assert trace_report(SymbolSpec(0, 0, CircleRadialDerivative(0.995)), dim=4096).agree
+
+
+@pytest.mark.parametrize("z0", [0.9999, 0.99999])
+def test_closed_route_next_to_the_circle_is_finite_and_fast(z0):
+    # no series to sum: a few dozen pairings, however close |z0| is to 1
+    start = time.perf_counter()
+    value, bound = trace_closed_form(SymbolSpec(2, 2, PointMass(z0)))
+    assert time.perf_counter() - start < 0.1
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(z0) ** 2
+        reference = 12 * (1 + 6 * x + 3 * x * x) / (1 - x) ** 6  # D(2, 2) at |z0|^2 = x
+        assert value.imag == 0.0 and abs(value.real - reference) <= bound
 
 
 def test_trace_matrix_divergent_diagonal_reports_infinite_tail():
@@ -155,8 +187,8 @@ def test_trace_matrix_divergent_diagonal_reports_infinite_tail():
 def test_trace_linearity_over_combinations():
     terms = ((2.0, PointMass(0.5)), (1.0 + 1.0j, CircleUniform(0.5)))
     combo = SymbolSpec(1, 1, Combination(terms))
-    combined = trace_closed_form(combo)
-    separate = sum(c * trace_closed_form(SymbolSpec(1, 1, b)) for c, b in terms)
+    combined, _ = trace_closed_form(combo)
+    separate = sum(c * trace_closed_form(SymbolSpec(1, 1, b))[0] for c, b in terms)
     assert abs(combined - separate) <= 1e-10 * max(abs(separate), 1.0)
     m_combined, _ = trace_matrix(combo, 64)
     m_separate = sum(c * trace_matrix(SymbolSpec(1, 1, b), 64)[0] for c, b in terms)
@@ -187,7 +219,7 @@ def _exact_diagonal_remainder(r: float, alpha: int, beta: int, dim: int) -> floa
 def test_trace_matrix_point_mass_near_boundary_tail_is_valid(base, alpha, beta):
     # the point mass and the circle share one tail bound
     symbol = SymbolSpec(alpha, beta, base)
-    closed = trace_closed_form(symbol, tol=1e-12)
+    closed, _ = trace_closed_form(symbol)
     for dim in (64, 200):
         value, tail = trace_matrix(symbol, dim)
         assert math.isfinite(tail)
@@ -266,7 +298,7 @@ def test_trace_report_mixed_combination_symbol():
     symbol = SymbolSpec(1, 1, Combination(terms))
     report = trace_report(symbol, dim=128)
     assert report.agree
-    expected = sum(c * trace_closed_form(SymbolSpec(1, 1, b)) for c, b in terms)
+    expected = sum(c * trace_closed_form(SymbolSpec(1, 1, b))[0] for c, b in terms)
     assert report.route_closed_form == pytest.approx(expected, rel=1e-10)
     assert abs(report.route_berezin - expected) <= report.berezin_error + 1e-6
 

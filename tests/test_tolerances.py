@@ -26,9 +26,7 @@ _OTHER_ARGS = {
     "bergtoep.berezin.berezin_series": (_SYMBOL, 0.3),
     "bergtoep.berezin.invariant_integral": (lambda z: 1.0, True),
     "bergtoep.berezin.weighted_berezin_radial": ((2.0, 0.0), 1, 0.5),
-    "bergtoep.bergman.d_alpha_beta_eval": (0.3, 1, 1),
     "bergtoep.spectral.trace_berezin": (_SYMBOL,),
-    "bergtoep.spectral.trace_closed_form": (_SYMBOL,),
     "bergtoep.spectral.trace_report": (_SYMBOL,),
 }
 
