@@ -13,13 +13,16 @@ over a power of 1 - y.  The point mass, the uniform circle (S is that 2F1
 at y = |z|^2 r0^2) and its radial derivative have closed forms with
 rounding-only error bars.  A radial power base collapses S to a series;
 near the boundary it is traded for an integral of the 2F1 against the
-weight, evaluable where the series would need billions of terms.  Every
-route takes arrays of points: series are summed row by row, each row
-stopping on its own tail bound.
+weight, evaluable where the series would need billions of terms: dyadic
+Gauss-Legendre panels toward the kernel singularity at x = 1, evaluated
+only as deep as the rows need, and one Gauss-Jacobi rule for the weight
+x^a on the half toward x = 0.  Every route takes arrays of points: series
+are summed row by row, each row stopping on its own tail bound.
 
 The invariant integral uses composite Gauss-Legendre panels on a dyadic
-mesh graded toward t = |z|^2 = 1, sampling a whole panel per call; the
-unresolved boundary sliver is extrapolated and reported, never dropped.
+mesh graded toward t = |z|^2 = 1, sampling a whole panel per call (one
+call per resolved panel, also off the radial case); the unresolved
+boundary sliver is extrapolated and reported, never dropped.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "InvariantIntegralResult",
 ]
 
+_EPS = np.finfo(float).eps
 # beyond this |z|^2 the radial-power series is replaced by the
 # hypergeometric integral representation
 _SERIES_T_MAX = 0.81
@@ -77,37 +81,65 @@ def _weighted_sum(weights: np.ndarray, f: np.ndarray) -> np.ndarray:
     return acc
 
 
-# dyadic panels of the hypergeometric integral: toward x = 1, then toward 0
-_HYP_PANELS_ONE = 51
-_HYP_PANELS_ZERO = 47
+# dyadic panels of the hypergeometric integral on x in (1/2, 1), and the
+# panels a batch evaluates past its deepest forced panel before it looks
+# for every row's stop
+_HYP_PANELS = 51
+_HYP_MARGIN = 6
 # radii per hypergeometric batch, which bounds its arrays to ~0.5 MB each
 _HYP_BATCH = 24
 
 
 @lru_cache(maxsize=8)
 def _hyp_panel_table(s: float, a: float):
-    """Every candidate panel of the hypergeometric integral, 16 + 8 Gauss
-    nodes each: x nodes, the weight x^a (1-x)^s there, panel half widths,
-    and panel indices j.
+    """Every candidate panel of the hypergeometric integral on x in
+    (1/2, 1), 16 + 8 Gauss nodes each: x nodes, the weight x^a (1-x)^s
+    there, panel half widths, and panel indices j.
 
-    The mesh is dyadic on x in (1/2, 1), graded in u = 1 - x toward the
-    kernel singularity, and on x in (0, 1/2), graded toward the weight
-    kink at 0; panel j spans 2^-(j+1) .. 2^-j in u or in x.
+    The mesh is dyadic in u = 1 - x, graded toward the kernel singularity
+    at x = 1; panel j spans u in 2^-(j+1) .. 2^-j.
     """
     x16, _ = gauss_legendre(16)
     x8, _ = gauss_legendre(8)
     nodes = np.concatenate([x16, x8])
-    j = np.concatenate([np.arange(1, _HYP_PANELS_ONE + 1), np.arange(1, _HYP_PANELS_ZERO + 1)])
+    j = np.arange(1, _HYP_PANELS + 1)
     lo, hi = 2.0 ** -(j + 1.0), 2.0 ** -j.astype(float)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    vv = mid[:, None] + half[:, None] * nodes
-    toward_one = (np.arange(j.size) < _HYP_PANELS_ONE)[:, None]
-    x = np.where(toward_one, 1.0 - vv, vv)
-    u = np.where(toward_one, vv, 1.0 - vv)
+    u = mid[:, None] + half[:, None] * nodes
+    x = 1.0 - u
     table = (x, x**a * u**s, half, j)
     for array in table:  # shared by every caller through the cache
         array.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=8)
+def _gauss_jacobi_half(n: int, a: float):
+    """n-node Gauss rule for the weight x^a on (0, 1/2), by Golub & Welsch
+    (Math. Comp. 23, 1969): the nodes are the eigenvalues of the Jacobi
+    matrix of the monic orthogonal polynomials, the weights the squared
+    first eigenvector components times the mass (1/2)^(a+1) / (a+1).
+
+    Returns (nodes, weights, weight_error).  ``weight_error`` is the
+    largest relative error of the rule, as computed, on the moments
+    x^(a+k), k < 2n, which it integrates exactly in exact arithmetic.
+    """
+    # the Jacobi (0, a) recurrence on (-1, 1), weight (1+y)^a, mapped by x = (1+y)/4
+    k = np.arange(1.0, n)
+    diag = np.concatenate([[a / (a + 2.0)], a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0))])
+    b = 4.0 * k * k * (k + a) ** 2 / ((2.0 * k + a) ** 2 * (2.0 * k + a + 1.0) * (2.0 * k + a - 1.0))
+    off = np.sqrt(b) / 4.0
+    jacobi = np.diag((1.0 + diag) / 4.0) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    mass = 0.5 ** (a + 1.0) / (a + 1.0)
+    weights = mass * vectors[0] ** 2
+    powers = np.arange(2 * n, dtype=float)
+    moments = 0.5 ** (a + powers + 1.0) / (a + powers + 1.0)
+    rule = (weights * nodes ** powers[:, None]).sum(axis=1)
+    weight_error = float(np.max(np.abs(rule - moments) / moments))
+    for array in (nodes, weights):
+        array.setflags(write=False)
+    return nodes, weights, weight_error
 
 
 def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
@@ -136,57 +168,81 @@ def _first_stop(stop: np.ndarray) -> np.ndarray:
     return np.where(stop.any(axis=1), stop.argmax(axis=1), stop.shape[1] - 1)
 
 
-def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndarray, tol: float):
-    """S(t) = integral over x in (0,1) of x^a (1-x)^s 2F1(alpha+2, beta+2; 1; t x) dx.
+def _toward_one(alpha: int, beta: int, s: float, a: float, t: np.ndarray, tol: float):
+    """The panels on x in (1/2, 1) for one batch of rows t.
 
-    All candidate panels of a batch go through one closed-form
-    ``_euler_hyp2f1`` evaluation; each row then keeps the panels up to its
-    own stopping panel: toward x = 1 the first with 2^-j <= (1-t)/8,
-    |p16| < tol/20 and j >= 2, toward x = 0 the first with |p16| < tol/20
-    and j >= 2.  The two slivers past the stopping panels are bracketed in
-    closed form.  The estimate adds the 8-point rule's per-panel error and
-    the brackets' half widths.
+    Each row keeps the panels up to its own stopping panel, the first with
+    2^-j <= (1-t)/8 (forced), |p16| < tol/20 and j >= 2.  The batch
+    evaluates its panels up to its deepest forced panel plus _HYP_MARGIN,
+    and the rest only if some row has not stopped there, so every row's
+    panels, stop and sums are those of a full evaluation, whatever its
+    batch.  Returns per row the running sum of the kept 16-point panel
+    values in panel order, the sum of |p16 - p8| over them, and the stop.
     """
     _, w16 = gauss_legendre(16)
     _, w8 = gauss_legendre(8)
     x, weight, half, j = _hyp_panel_table(s, a)
-    n_one = _HYP_PANELS_ONE
+    forced = 2.0**-j <= (1.0 - t[:, None]) / 8.0
+
+    def panels(cols: slice):
+        f = weight[cols] * _euler_hyp2f1(alpha, beta, t[:, None, None] * x[cols])
+        p16 = half[cols] * _weighted_sum(w16, f[..., :16])
+        p8 = half[cols] * _weighted_sum(w8, f[..., 16:])
+        return p16, p8, (np.abs(p16) < tol / 20.0) & (j[cols] >= 2) & forced[:, cols]
+
+    cut = min(int(_first_stop(forced).max()) + 1 + _HYP_MARGIN, _HYP_PANELS)
+    p16, p8, stop = panels(slice(0, cut))
+    if cut < _HYP_PANELS and not stop.any(axis=1).all():
+        deeper = panels(slice(cut, _HYP_PANELS))
+        p16, p8, stop = (np.concatenate([head, tail], axis=1) for head, tail in zip((p16, p8, stop), deeper))
+    stop = _first_stop(stop)
+    used = np.arange(p16.shape[1]) <= stop[:, None]
+    # running sums in panel order, as the panels are visited
+    kept = np.cumsum(np.where(used, p16, 0.0), axis=1)[:, -1]
+    quad_err = np.cumsum(np.where(used, np.abs(p16 - p8), 0.0), axis=1)[:, -1]
+    return kept, quad_err, j[stop]
+
+
+def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndarray, tol: float):
+    """S(t) = integral over x in (0,1) of x^a (1-x)^s 2F1(alpha+2, beta+2; 1; t x) dx.
+
+    On x in (1/2, 1) a dyadic mesh graded toward the kernel singularity at
+    x = 1 (``_toward_one``), its sliver past each row's stop bracketed in
+    closed form.  On x in (0, 1/2) the integrand is x^a times a function
+    analytic out to x = 1, so one Gauss-Jacobi rule for the weight x^a
+    integrates it: the value is the 24-node rule's, the estimate
+    |G24 - G16| plus the rounding of the rule's own weights
+    (``_gauss_jacobi_half``) and of its sum.  The estimate adds the 8-point
+    rule's per-panel error and the bracket's half width.
+    """
+    x24, w24, weight_error = _gauss_jacobi_half(24, a)
+    x16, w16, _ = _gauss_jacobi_half(16, a)
+    # the rest of the integrand's weight, (1-x)^s, joins the rules' weights
+    w24, w16 = w24 * (1.0 - x24) ** s, w16 * (1.0 - x16) ** s
+    rounding = weight_error + 24 * _EPS
+    x_zero = np.concatenate([x24, x16])
     total = np.empty(t.size)
     est = np.empty(t.size)
     for lo in range(0, t.size, _HYP_BATCH):
         tb = t[lo : lo + _HYP_BATCH]
-        f = weight * _euler_hyp2f1(alpha, beta, tb[:, None, None] * x)
-        p16 = half * _weighted_sum(w16, f[..., :16])
-        p8 = half * _weighted_sum(w8, f[..., 16:])
-        small = (np.abs(p16) < tol / 20.0) & (j >= 2)
-        stop_one = _first_stop(small[:, :n_one] & (2.0**-j[:n_one] <= (1.0 - tb[:, None]) / 8.0))
-        stop_zero = _first_stop(small[:, n_one:])
-        col = np.arange(j.size)
-        used = (col <= stop_one[:, None]) | ((col >= n_one) & (col - n_one <= stop_zero[:, None]))
-        # the slivers past the stopping panels, u in (0, u_end) and x in
-        # (0, x_end), are not integrated: the power that vanishes there is
-        # integrated exactly and the other two factors are bracketed by
-        # their values at the sliver's ends (2F1(., t x) grows with x, as
-        # its Euler polynomial's coefficients are positive).  The value
-        # takes the bracket's midpoint, the estimate its half width.
-        u_end = 2.0 ** -(j[stop_one] + 1.0)
-        x_end = 2.0 ** -(j[n_one + stop_zero] + 1.0)
-        x_pow, u_pow = (1.0 - u_end) ** a, (1.0 - x_end) ** s
+        kept, quad_err, j_stop = _toward_one(alpha, beta, s, a, tb, tol)
+        f = _euler_hyp2f1(alpha, beta, tb[:, None] * x_zero)
+        g24 = _weighted_sum(w24, f[:, : x24.size])
+        g16 = _weighted_sum(w16, f[:, x24.size :])
+        # the sliver past the stopping panel, u in (0, u_end), is not
+        # integrated: (1-x)^s is integrated exactly and the other two
+        # factors are bracketed by their values at the sliver's ends
+        # (2F1(., t x) grows with x, as its Euler polynomial's coefficients
+        # are positive).  The value takes the bracket's midpoint, the
+        # estimate its half width.
+        u_end = 2.0 ** -(j_stop + 1.0)
+        x_pow = (1.0 - u_end) ** a
         one = u_end ** (s + 1.0) / (s + 1.0)
-        zero = x_end ** (a + 1.0) / (a + 1.0)
-        upper = (
-            np.maximum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb) * one
-            + np.maximum(1.0, u_pow) * _euler_hyp2f1(alpha, beta, tb * x_end) * zero
-        )
-        lower = (
-            np.minimum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb * (1.0 - u_end)) * one
-            + np.minimum(1.0, u_pow) * zero
-        )
-        # running sums in panel order, as the panels are visited
-        kept = np.cumsum(np.where(used, p16, 0.0), axis=1)[:, -1]
-        quad_err = np.cumsum(np.where(used, np.abs(p16 - p8), 0.0), axis=1)[:, -1]
-        total[lo : lo + _HYP_BATCH] = kept + 0.5 * (upper + lower)
-        est[lo : lo + _HYP_BATCH] = quad_err + 0.5 * (upper - lower)
+        upper = np.maximum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb) * one
+        lower = np.minimum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb * (1.0 - u_end)) * one
+        total[lo : lo + _HYP_BATCH] = kept + g24 + 0.5 * (upper + lower)
+        # the integrand is positive on (0, 1/2), so g24 is also the sum of |terms|
+        est[lo : lo + _HYP_BATCH] = quad_err + 0.5 * (upper - lower) + np.abs(g24 - g16) + rounding * g24
     return total, est
 
 
@@ -351,32 +407,37 @@ def _theta_average(sampler, radii: np.ndarray, start: int, tol: float) -> np.nda
     to tolerance.
 
     Exact for trigonometric polynomials of degree below the node count and
-    geometrically convergent for integrands analytic in the angle.  One
-    sampler call per doubling covers every radius still open, and a
-    doubling samples only the new odd nodes: the node sums of the earlier
-    ones are kept.  Node sums are reduced in a fixed order.
+    geometrically convergent for integrands analytic in the angle.  The
+    first sampler call takes 2 * start nodes per circle: its even half is
+    the start-node rule, and adding the odd half gives the first doubling,
+    so a circle that resolves there costs one call.  Each later call
+    samples only the new odd nodes of every radius still open: the node
+    sums of the earlier ones are kept.  Node sums are reduced in a fixed
+    order, even half first.
     """
     out = np.empty(radii.size, dtype=complex)
     sums = np.zeros(radii.size, dtype=complex)
     rows = np.arange(radii.size)
-    prev = None
-    n, first, step = start, 0, 1  # nodes first, first + step, ... below n
-    while n <= 4096:
-        angles = 2.0 * math.pi * np.arange(first, n, step) / n
+    n = 2 * start
+    values = _sampled(sampler, radii[:, None] * np.exp(1j * (2.0 * math.pi * np.arange(n) / n)))
+    sums += values[:, 0::2].sum(axis=1)
+    prev = sums / start
+    sums += values[:, 1::2].sum(axis=1)
+    while True:
+        cur = sums[rows] / n
+        done = np.abs(cur - prev) <= tol + 1e-13 * np.abs(cur)
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+        if not rows.size:
+            return out
+        n *= 2
+        if n > 4096:
+            raise NumericalFailureError(
+                "angular average did not stabilize within 4096 nodes", partial=prev
+            )
+        angles = 2.0 * math.pi * np.arange(1, n, 2) / n
         z = radii[rows, None] * np.exp(1j * angles)
         sums[rows] += _sampled(sampler, z).sum(axis=1)
-        cur = sums[rows] / n
-        if prev is not None:
-            done = np.abs(cur - prev) <= tol + 1e-13 * np.abs(cur)
-            out[rows[done]] = cur[done]
-            rows, cur = rows[~done], cur[~done]
-            if not rows.size:
-                return out
-        prev = cur
-        n, first, step = 2 * n, 1, 2
-    raise NumericalFailureError(
-        "angular average did not stabilize within 4096 nodes", partial=prev
-    )
 
 
 def invariant_integral(
@@ -396,9 +457,11 @@ def invariant_integral(
     same shape (or a scalar, broadcast over it), evaluating each point
     independently of the others in the array.  It is called with batches:
     with ``radial_hint`` once per panel with its 24 radii (16 + 8 Gauss
-    nodes, on the real axis); otherwise once per angular doubling with
-    the new nodes of every radius of the panel still open, at most
-    24 x 2048 points.
+    nodes, on the real axis); otherwise once per panel with 2 x
+    _THETA_START = 128 angular nodes on each of its 24 radii, which
+    settles every circle that resolves at the first doubling, then once
+    per further angular doubling with the new nodes of every radius still
+    open, at most 24 x 2048 points.
     """
     check_tol(tol)
     x16, w16 = gauss_legendre(16)

@@ -487,12 +487,18 @@ class PointMass(_Atom):
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
         z0 = self.z0
+        gap = 1.0 - z.conjugate() * z0
         value = (
             _prefactor(alpha, beta, z, t)
-            * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
+            * _ipow(gap, -(2 + alpha))
             * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
         )
-        return value, (1e-14 + _t_rounding(t)) * np.abs(value)
+        # each rounded product conj(z) z0 is within sqrt(2) gamma_2 |z||z0|
+        # (Higham, Accuracy and Stability, §3.6, Lemma 3.5); it moves 1 - conj(z) z0
+        # by that over |1 - conj(z) z0| relative; the powers amplify it 4+alpha+beta times
+        gamma_2 = 2.0 * _U / (1.0 - 2.0 * _U)
+        conditioning = (4 + alpha + beta) * math.sqrt(2.0) * gamma_2 * abs(z0) * np.sqrt(t) / np.abs(gap)
+        return value, (1e-14 + _t_rounding(t) + conditioning) * np.abs(value)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         return (1.0 - abs(self.z0) ** 2) ** (-order), math.inf

@@ -10,10 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bergtoep import berezin
 from bergtoep.berezin import (
     _berezin_values,
     _euler_hyp2f1,
+    _gauss_jacobi_half,
+    _hyp_panel_table,
+    _radial_power_integral,
     _radial_power_S,
+    _toward_one,
     berezin_matrix,
     berezin_series,
     invariant_integral,
@@ -30,7 +35,7 @@ from bergtoep.measures import (
     SymbolSpec,
     moment,
 )
-from bergtoep.numutil import int_factorial
+from bergtoep.numutil import gauss_legendre, int_factorial
 from bergtoep.operators import assemble
 
 
@@ -203,6 +208,70 @@ def test_radial_power_error_bar_holds_against_mpmath_3f2(tol):
                 )
                 S, est = _radial_power_S(alpha, beta, s, a, t, tol)
                 assert abs(S[0] - ref) <= est[0] + 16.0 * eps * abs(ref), (alpha, beta, s, a, r)
+
+
+@pytest.mark.parametrize("n", [24, 16])
+@pytest.mark.parametrize("a", [0.0, 0.5, -0.5, 2.3])
+def test_gauss_jacobi_rule_integrates_its_moments(a, n):
+    # the x -> 0 rule of the hypergeometric branch is exact for x^(a+k),
+    # k < 2n, up to its reported weight error plus n eps; 40-digit moments
+    # (1/2)^(a+k+1) / (a+k+1) and 40-digit sums of the rule's float terms
+    import mpmath
+
+    nodes, weights, weight_error = _gauss_jacobi_half(n, a)
+    assert nodes.size == weights.size == n
+    assert np.all((nodes > 0.0) & (nodes < 0.5)) and np.all(weights > 0.0)
+    assert weight_error <= 4e-14
+    eps = np.finfo(float).eps
+    with mpmath.workdps(40):
+        for k in range(2 * n):
+            exact = mpmath.mpf(0.5) ** (a + k + 1) / (a + k + 1)
+            rule = mpmath.fsum(mpmath.mpf(w) * mpmath.mpf(x) ** k for w, x in zip(weights, nodes))
+            assert abs(rule - exact) <= (weight_error + n * eps) * exact, k
+
+
+@pytest.mark.parametrize("alpha, beta, s, a", [(1, 1, 4.0, 0.0), (2, 1, 5.5, 0.5), (0, 0, 2.0, -0.5), (1, 0, 3.3, 2.3)])
+def test_radial_power_integral_within_its_estimate_of_mpmath_quadrature(alpha, beta, s, a):
+    # S(t) = integral over (0, 1) of x^a (1-x)^s 2F1(alpha+2, beta+2; 1; t x),
+    # by 40-digit tanh-sinh quadrature with mpmath's own 2F1, split at 1/2
+    # and at 1 - 2^k (1-t) toward the kernel peak
+    import mpmath
+
+    with mpmath.workdps(40):
+        for t in (0.82, 0.9, 0.99, 1.0 - 1e-6):
+            tm, u = mpmath.mpf(t), 1.0 - t
+            edges = [1.0 - u * 2.0**k for k in range(int(math.log2(0.5 / u)), -3, -1)]
+            ref = mpmath.quad(
+                lambda x: x**a * (1 - x) ** s * mpmath.hyp2f1(alpha + 2, beta + 2, 1, tm * x),
+                [0.0, 0.5, *edges, 1.0],
+            )
+            S, est = _radial_power_integral(alpha, beta, s, a, np.array([t]), 1e-10)
+            assert abs(S[0] - ref) <= est[0], t
+
+
+@pytest.mark.parametrize(
+    "z0, z",
+    [(0.9999, 0.999), (0.999, 0.998), (0.9999, cmath.rect(0.999, 1e-4)), (cmath.rect(0.999, 0.7), cmath.rect(0.998, 0.7))],
+)
+def test_point_mass_bar_covers_the_conditioning_of_one_minus_conj_z_z0(z0, z):
+    # near z0 the rounded product conj(z) z0 moves 1 - conj(z) z0, and the
+    # powers -(2+alpha), -(2+beta) amplify it; 40-digit mpmath at the exact
+    # binary values of z and z0
+    import mpmath
+
+    z, z0 = complex(z), complex(z0)
+    with mpmath.workdps(40):
+        w, w0 = mpmath.mpc(z.real, z.imag), mpmath.mpc(z0.real, z0.imag)
+        t = w.real**2 + w.imag**2
+        for alpha in range(3):
+            for beta in range(3):
+                sign = (-1) ** (alpha + beta) * math.factorial(alpha + 1) * math.factorial(beta + 1)
+                ref = complex(
+                    sign * mpmath.conj(w) ** alpha * w**beta * (1 - t) ** 2
+                    * (1 - mpmath.conj(w) * w0) ** -(2 + alpha) * (1 - w * mpmath.conj(w0)) ** -(2 + beta)
+                )
+                sample = berezin_series(SymbolSpec(alpha, beta, PointMass(z0)), z)
+                assert abs(sample.value - ref) <= sample.est_error, (alpha, beta)
 
 
 _FENCE_RADII = (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - BOUNDARY_MARGIN)
@@ -484,3 +553,86 @@ def test_invariant_integral_angular_nodes_are_reused_across_doublings():
             radius = float(np.round(abs(row[0]), 14))
             points_per_radius[radius] = points_per_radius.get(radius, 0) + row.size
     assert set(points_per_radius.values()) == {128}
+
+
+def test_invariant_integral_one_sampler_call_per_resolved_panel():
+    # every circle of this trigonometric polynomial resolves at the first
+    # check, so each panel costs one call of 128 nodes on each of its radii:
+    # as many calls as the radial route makes for its angular average
+    def f(z):
+        w = 1 - abs(z) ** 2
+        return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
+
+    sampler = _RecordingSampler(f)
+    invariant_integral(sampler, False, 1e-8)
+    radial = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10))
+    invariant_integral(radial, True, 1e-8)
+    assert len(sampler.batches) == len(radial.batches) >= 4
+    for z, r in zip(sampler.batches, radial.batches):
+        assert z.shape[0] <= 24 and z.shape[1] == 128
+        assert np.array_equal(np.round(abs(z[:, 0]), 14), np.round(r.real, 14))
+
+
+def test_hypergeometric_branch_evaluates_no_dyadic_panel_toward_zero(monkeypatch):
+    # only the x in (1/2, 1) side has panels (3-d arguments), and only as
+    # deep as the batch needs; the x in (0, 1/2) side is the 24 + 16 node
+    # Gauss-Jacobi pair (2-d arguments)
+    calls = []
+
+    def counting(alpha, beta, y):
+        calls.append(np.array(y))
+        return _euler_hyp2f1(alpha, beta, y)
+
+    monkeypatch.setattr(berezin, "_euler_hyp2f1", counting)
+    t = np.array([0.82, 0.9, 0.95])
+    _radial_power_integral(1, 1, 4.0, 0.0, t, 1e-10)
+    assert not hasattr(berezin, "_HYP_PANELS_ZERO")
+    panels = [y for y in calls if y.ndim == 3]
+    rules = [y for y in calls if y.ndim == 2]
+    assert len(panels) == 1 and panels[0].shape[0] == t.size and panels[0].shape[1] < 51
+    assert np.all(panels[0] / t[:, None, None] > 0.5)
+    assert len(rules) == 1 and rules[0].shape == (t.size, 40)
+    assert np.all(rules[0] / t[:, None] < 0.5)
+
+
+def _full_toward_one(alpha, beta, s, a, t, tol):
+    """All 51 panels on x in (1/2, 1) for every row, then each row's stop
+    and its running sums, one panel at a time."""
+    _, w16 = gauss_legendre(16)
+    _, w8 = gauss_legendre(8)
+    x, weight, half, j = _hyp_panel_table(s, a)
+    f = weight * _euler_hyp2f1(alpha, beta, t[:, None, None] * x)
+    p16, p8 = w16[0] * f[..., 0], w8[0] * f[..., 16]
+    for k in range(1, 16):
+        p16 = p16 + w16[k] * f[..., k]
+    for k in range(1, 8):
+        p8 = p8 + w8[k] * f[..., 16 + k]
+    p16, p8 = half * p16, half * p8
+    stop = (np.abs(p16) < tol / 20.0) & (j >= 2) & (2.0**-j <= (1.0 - t[:, None]) / 8.0)
+    kept, quad_err, j_stop = [], [], []
+    for row in range(t.size):
+        last = int(np.argmax(stop[row])) if stop[row].any() else 50
+        total = err = 0.0
+        for col in range(last + 1):
+            total += p16[row, col]
+            err += abs(p16[row, col] - p8[row, col])
+        kept.append(total)
+        quad_err.append(err)
+        j_stop.append(j[last])
+    return np.array(kept), np.array(quad_err), np.array(j_stop)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, s, a, tol",
+    [(1, 1, 4.0, 0.0, 1e-9), (0, 0, 1.2, 0.0, 1e-13), (2, 1, 5.5, 0.5, 1e-11), (1, 1, 3.2, -0.5, 1e-10)],
+)
+def test_toward_one_sums_equal_a_full_51_panel_evaluation_bitwise(alpha, beta, s, a, tol):
+    # shallow rows stop within the first cut; deep rows need every panel
+    for t in (np.array([0.82, 0.9, 0.99]), np.array([0.9999, 1.0 - 1e-7, 1.0 - 1e-12, 1.0 - 2.0**-50])):
+        got = _toward_one(alpha, beta, s, a, t, tol)
+        want = _full_toward_one(alpha, beta, s, a, t, tol)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        for k in range(t.size):  # each row is independent of its batch
+            alone = _toward_one(alpha, beta, s, a, t[k : k + 1], tol)
+            assert all(g[k : k + 1].tobytes() == one.tobytes() for g, one in zip(got, alone))
