@@ -169,6 +169,12 @@ class _Band:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
+    def svals(self) -> np.ndarray:
+        # each row and each column holds at most one entry, so the band is a
+        # permutation times diag(values) (zero on the rows that leave) and
+        # its singular values are the moduli of the values
+        return np.sort(np.abs(self.values))[::-1]
+
     def trace(self) -> complex:
         # only a zero-offset band meets the diagonal
         return complex(math.fsum(self.values)) if self.offset == 0 else 0.0 + 0.0j
@@ -207,6 +213,11 @@ class _RankOne:
     def norm(self) -> float:
         return float(np.linalg.norm(self.row)) * float(np.linalg.norm(self.col))
 
+    def svals(self) -> np.ndarray:
+        out = np.zeros(self.row.size)
+        out[0] = abs(self.sign) * self.norm()
+        return out
+
     def trace(self) -> complex:
         diagonal = self.row.conjugate() * self.col
         return self.sign * complex(math.fsum(diagonal.real), math.fsum(diagonal.imag))
@@ -241,7 +252,8 @@ class _Atom:
       to (e_m, e_n);
     - ``factors(alpha, beta, dim)``: the truncation as (c, factor) pairs,
       each a band (``_Band``) or rank one (``_RankOne``) answering dense(),
-      form(a), norm() and trace(); an atom gives one pair with c = 1;
+      form(a), norm(), trace() and svals(), its exact descending singular
+      values; an atom gives one pair with c = 1;
     - ``matrix(alpha, beta, dim)``: the dense truncation entries[n, m],
       the factors densified by the one ``_densify``;
     - ``diagonal_tail(alpha, beta, dim)``: the sum of |entries[n, n]| over

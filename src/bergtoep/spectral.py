@@ -1,5 +1,10 @@
-"""Traces by three independent routes, singular values by one-sided Jacobi,
-exponential decay fits, and the Carleson bound probe.
+"""Traces by three independent routes, singular values, exponential decay
+fits, and the Carleson bound probe.
+
+A truncation with a single factor (an atom, or a one-term combination) has
+its singular values read exactly from that factor: the sorted moduli of a
+band, or one norm product and zeros for a rank-one pair.  Every other input
+goes through the one-sided Jacobi of ``jacobi_svd``.
 
 Route independence is the point: the matrix route sums the truncated
 diagonal, the Berezin route integrates the transform against the invariant
@@ -72,10 +77,13 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Descending singular values of a truncation with numerical rank."""
+    """Descending singular values of a truncation with numerical rank, and
+    the route that gave them: ``"factor"`` (exact, from a single factor) or
+    ``"jacobi"``."""
 
     svals: np.ndarray
     numerical_rank: int
+    route: str
 
 
 def ensure_trace_class(symbol: SymbolSpec) -> None:
@@ -235,20 +243,31 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def singular_values(op: TruncatedOperator | np.ndarray, rank_tol: float = 1e-12) -> SpectrumReport:
     """Full singular value set of a truncation, descending, with the count
-    of values above rank_tol times the largest, 0 <= rank_tol < 1."""
+    of values above rank_tol times the largest, 0 <= rank_tol < 1.
+
+    A truncation whose ``factors`` hold one (c, factor) pair gives
+    |c| times the factor's exact ``svals()``, with no dense matrix and no
+    sweep; its zeros are exact, so the rank of a rank-one truncation is 1
+    even at rank_tol = 0.  A truncation with several factors, or a bare
+    array, is densified and goes through ``jacobi_svd``.
+    """
     if not 0.0 <= rank_tol < 1.0:  # NaN fails every comparison
         raise ValueError(f"rank_tol must lie in [0, 1), got {rank_tol}")
-    matrix = op.entries if isinstance(op, TruncatedOperator) else np.asarray(op)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("singular values need a square matrix")
-    if matrix.shape[0] > MAX_DIMENSION:
-        raise ValueError(f"singular value decomposition capped at dimension {MAX_DIMENSION}")
-    svals = jacobi_svd(matrix)
+    if isinstance(op, TruncatedOperator) and len(op.factors) == 1:
+        ((c, factor),) = op.factors
+        svals, route = abs(c) * factor.svals(), "factor"
+    else:
+        matrix = op.entries if isinstance(op, TruncatedOperator) else np.asarray(op)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("singular values need a square matrix")
+        if matrix.shape[0] > MAX_DIMENSION:
+            raise ValueError(f"singular value decomposition capped at dimension {MAX_DIMENSION}")
+        svals, route = jacobi_svd(matrix), "jacobi"
     if svals.size and svals[0] > 0.0:
         rank = int(np.sum(svals > rank_tol * svals[0]))
     else:
         rank = 0
-    return SpectrumReport(svals=svals, numerical_rank=rank)
+    return SpectrumReport(svals=svals, numerical_rank=rank, route=route)
 
 
 def decay_fit(report: SpectrumReport, window: tuple[int, int]) -> DecayFit:

@@ -213,6 +213,21 @@ def test_spectrum_explicit_bad_window_exits_one(capsys):
     assert json.loads(out)["fit"] is None
 
 
+def test_spectrum_window_over_exact_rank_one_zeros_exits_one(capsys):
+    # s_1.. of a point mass are exact zeros, not rounding noise to fit a line to
+    symbol = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.5,"im":0}}'
+    code, out, err = run(capsys, "spectrum", "--symbol", symbol, "--dim", "64", "--window", "20", "40")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "config"
+    assert "zero or underflowed" in error["message"]
+    code, out, _ = run(capsys, "spectrum", "--symbol", symbol, "--dim", "64")
+    assert code == 0
+    report = json.loads(out)
+    assert report["fit"] is None
+    assert report["numerical_rank"] == 1 and report["svals"][1:] == [0.0] * 63
+
+
 @pytest.mark.parametrize("rank_tol", ["-1", "1", "1.5"])
 def test_spectrum_rank_tol_outside_unit_interval_exits_one(capsys, rank_tol):
     symbol = '{"alpha":0,"beta":0,"measure":{"kind":"circle_uniform","r0":0.5}}'

@@ -1,5 +1,6 @@
-"""Trace routes, Jacobi SVD against an independent solver, decay fits,
-and the Carleson bound probe."""
+"""Trace routes, singular values (exact from a single factor, Jacobi
+otherwise) against independent solvers, decay fits, and the Carleson bound
+probe."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +333,109 @@ def test_jacobi_sweep_exhaustion_is_a_numerical_failure(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "numerical-failure"
+
+
+# -------------------------------------------------- exact single-factor route
+
+_FACTOR_KINDS = {
+    "radial_power": RadialPower(3.0, a=0.5),
+    "point_mass": PointMass(cmath.rect(0.5, 0.7)),
+    "circle": CircleUniform(0.6),
+    "scaled_point": Combination(((-2.0 + 1.0j, PointMass(0.4j)), (0.0, CircleUniform(0.5)))),
+}
+_FACTOR_ORDERS = [(0, 0), (1, 1), (1, 0), (2, 1), (1, 2)]
+_FACTOR_DIMS = [1, 2, 3, 63, 64, 65, 128, 256]
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [SymbolSpec(a, b, base) for base in _FACTOR_KINDS.values() for a, b in _FACTOR_ORDERS]
+    + [SymbolSpec(0, 0, CircleRadialDerivative(0.5))],
+    ids=[f"{kind}-{a}{b}" for kind in _FACTOR_KINDS for a, b in _FACTOR_ORDERS]
+    + ["circle_radial_derivative-00"],
+)
+def test_factor_route_agrees_with_lapack(symbol):
+    for dim in _FACTOR_DIMS:
+        op = assemble(symbol, dim)
+        report = singular_values(op)
+        ref = np.linalg.svd(op.entries, compute_uv=False)
+        assert report.route == "factor"
+        assert report.svals.shape == (dim,)
+        assert np.all(np.diff(report.svals) <= 0.0)
+        assert np.max(np.abs(report.svals - ref)) <= 4.0 * dim * np.finfo(float).eps * ref[0]
+
+
+def test_rank_one_s0_is_the_norm_product_to_four_ulps():
+    import mpmath
+
+    def norm(vector):
+        return mpmath.sqrt(mpmath.fsum(abs(mpmath.mpc(x)) ** 2 for x in vector))
+
+    with mpmath.workdps(50):
+        for z0 in (0.5, cmath.rect(0.5, 0.7), 0.3j, cmath.rect(0.95, 2.0)):
+            for alpha, beta in _FACTOR_ORDERS:
+                for dim in (3, 64, 256):
+                    op = assemble(SymbolSpec(alpha, beta, PointMass(z0)), dim)
+                    ((_, factor),) = op.factors
+                    exact = norm(factor.row) * norm(factor.col)
+                    s0 = singular_values(op).svals[0]
+                    assert abs(mpmath.mpf(s0) - exact) <= 4.0 * np.spacing(float(exact))
+
+
+def test_circle_11_spectrum_is_the_sorted_closed_form():
+    # at dim 256 the smallest values are ~1e-258, whose squares underflow
+    for r0, dim in ((0.6, 128), (0.3, 256)):
+        report = singular_values(assemble(SymbolSpec(1, 1, CircleUniform(r0)), dim))
+        exact = sorted(((n + 1) * n * n * r0 ** (2 * n - 2) for n in range(1, dim)), reverse=True) + [0.0]
+        np.testing.assert_allclose(report.svals, exact, rtol=1e-14, atol=0.0)
+
+
+def test_rank_one_zeros_are_exact():
+    report = singular_values(assemble(SymbolSpec(1, 1, PointMass(0.5)), 64), rank_tol=0.0)
+    assert report.numerical_rank == 1
+    assert np.all(report.svals[1:] == 0.0)
+
+
+def _jacobi_must_not_run(matrix):
+    raise AssertionError("jacobi_svd reached")
+
+
+@pytest.mark.parametrize("base", list(_FACTOR_KINDS.values()), ids=list(_FACTOR_KINDS))
+def test_single_factor_skips_jacobi_and_the_dense_matrix(monkeypatch, base):
+    monkeypatch.setattr(spectral, "jacobi_svd", _jacobi_must_not_run)
+    op = assemble(SymbolSpec(2, 1, base), 32)
+    assert singular_values(op).route == "factor"
+    assert "entries" not in op.__dict__
+
+
+def test_several_factors_and_arrays_still_reach_jacobi(monkeypatch):
+    base = Combination(((1.0, CircleUniform(0.6)), (0.3, PointMass(0.4j))))
+    op = assemble(SymbolSpec(1, 1, base), 16)
+    assert singular_values(op).route == "jacobi"
+    assert singular_values(np.eye(3)).route == "jacobi"
+    monkeypatch.setattr(spectral, "jacobi_svd", _jacobi_must_not_run)
+    for matrix in (op, np.eye(3)):
+        with pytest.raises(AssertionError, match="jacobi_svd reached"):
+            singular_values(matrix)
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [SymbolSpec(1, 1, PointMass(0.6 + 0.3j)), SymbolSpec(2, 1, RadialPower(3.0))],
+    ids=["point_mass-11", "radial_power-21"],
+)
+def test_single_factor_at_the_cap_builds_no_dense_buffer(monkeypatch, symbol):
+    monkeypatch.setattr(spectral, "jacobi_svd", _jacobi_must_not_run)
+    tracemalloc.start()
+    try:
+        op = assemble(symbol, 4096)
+        report = singular_values(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * 16.0 * 4096 * 4096
+    assert report.svals.shape == (4096,) and report.svals[0] > 0.0
+    assert "entries" not in op.__dict__
 
 
 def test_singular_values_rank_one_projection():
