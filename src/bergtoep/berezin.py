@@ -19,10 +19,11 @@ only as deep as the rows need, and one Gauss-Jacobi rule for the weight
 x^a on the half toward x = 0.  Every route takes arrays of points: series
 are summed row by row, each row stopping on its own tail bound.
 
-The invariant integral uses composite Gauss-Legendre panels on a dyadic
-mesh graded toward t = |z|^2 = 1, sampling a whole panel per call (one
-call per resolved panel, also off the radial case); the unresolved
-boundary sliver is extrapolated and reported, never dropped.
+The invariant integral uses composite 15-node Gauss-Kronrod panels on a
+dyadic mesh graded toward t = |z|^2 = 1, each panel's error estimate read
+from the 7-node Gauss rule nested in its nodes, sampling a whole panel
+per call (one call per resolved panel, also off the radial case); the
+unresolved boundary sliver is extrapolated and reported, never dropped.
 """
 
 from __future__ import annotations
@@ -36,7 +37,15 @@ import numpy as np
 
 from .bergman import BOUNDARY_MARGIN
 from .errors import BoundaryError, NumericalFailureError
-from .numutil import beta_integral, check_tol, falling_factorial, gauss_legendre, int_factorial, ratio_series
+from .numutil import (
+    beta_integral,
+    check_tol,
+    falling_factorial,
+    gauss_kronrod_15,
+    gauss_legendre,
+    int_factorial,
+    ratio_series,
+)
 
 __all__ = [
     "BerezinSample",
@@ -251,9 +260,11 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t, tol: float):
 
     Power series up to _SERIES_T_MAX; beyond it the Beta moments are
     unfolded back into their defining integral and the p-sum is done in
-    closed form (``_radial_power_integral``).  Returns (S, est) arrays.
+    closed form (``_radial_power_integral``).  Each distinct t is summed
+    once and broadcast over the points that share it.  Returns (S, est)
+    arrays.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t, where = np.unique(np.atleast_1d(np.asarray(t, dtype=float)), return_inverse=True)
     S = np.empty(t.size)
     est = np.empty(t.size)
     low = t <= _SERIES_T_MAX
@@ -274,7 +285,7 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t, tol: float):
         S[low], est[low] = ratio_series(first, ratio_at, tol, ratio_sup=t_low)
     if not low.all():
         S[~low], est[~low] = _radial_power_integral(alpha, beta, s, a, t[~low], tol)
-    return S, est
+    return S[where], est[where]
 
 
 def _prefactor(alpha: int, beta: int, z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -291,16 +302,30 @@ def _prefactor(alpha: int, beta: int, z: np.ndarray, t: np.ndarray) -> np.ndarra
     return sign * fa * fb * monomial * (1.0 - t) ** 2
 
 
-def _berezin_values(symbol, z, tol: float):
-    """Analytic-route transform of the ``SymbolSpec`` at every point of the
-    array ``z``, unfenced; returns (values, est_errors) shaped like ``z``."""
+def _flat_points(z):
+    """The array ``z`` as complex, its flat view and t = |z|^2 there,
+    rejecting points on or outside the circle."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     t = (flat * flat.conjugate()).real
     if np.any(t >= 1.0):
         raise BoundaryError("Berezin transform is defined inside the disk")
+    return z, flat, t
+
+
+def _berezin_values(symbol, z, tol: float):
+    """Analytic-route transform of the ``SymbolSpec`` at every point of the
+    array ``z``, unfenced; returns (values, est_errors) shaped like ``z``."""
+    z, flat, t = _flat_points(z)
     value, err = symbol.base.berezin(symbol.alpha, symbol.beta, flat, t, tol)
     return value.reshape(z.shape), err.reshape(z.shape)
+
+
+def _berezin_value_only(symbol, z, tol: float):
+    """The values of ``_berezin_values``, bitwise, without their error
+    estimates."""
+    z, flat, t = _flat_points(z)
+    return symbol.base.berezin_value(symbol.alpha, symbol.beta, flat, t, tol).reshape(z.shape)
 
 
 def _check_fence(z: complex) -> None:
@@ -448,27 +473,28 @@ def invariant_integral(
     """Integral of ``sampler`` against the invariant measure (1-|z|^2)^(-2) dA.
 
     In t = |z|^2 the mesh is dyadic toward t = 1 (edges 1 - 2^-j) with
-    16-point Gauss-Legendre panels, stopping once the last panel falls
-    below tol/10.  ``radial_hint`` collapses the angular direction; the
-    remaining boundary sliver is power-law extrapolated into
-    ``boundary_tail`` (reported, never dropped).
+    15-point Gauss-Kronrod panels, stopping once the last panel falls
+    below tol/10.  A panel's value is its Kronrod sum K15; ``quad_error``
+    adds |K15 - G7|, with G7 the Gauss rule on the odd-indexed Kronrod
+    nodes, so the estimate costs no sample of its own.  ``radial_hint``
+    collapses the angular direction; the remaining boundary sliver is
+    power-law extrapolated into ``boundary_tail`` (reported, never
+    dropped).
 
     ``sampler`` maps an ndarray of points z to an ndarray of values of the
     same shape (or a scalar, broadcast over it), evaluating each point
     independently of the others in the array.  It is called with batches:
-    with ``radial_hint`` once per panel with its 24 radii (16 + 8 Gauss
+    with ``radial_hint`` once per panel with its 15 radii (the Kronrod
     nodes, on the real axis); otherwise once per panel with 2 x
-    _THETA_START = 128 angular nodes on each of its 24 radii, which
+    _THETA_START = 128 angular nodes on each of its 15 radii, which
     settles every circle that resolves at the first doubling, then once
     per further angular doubling with the new nodes of every radius still
-    open, at most 24 x 2048 points.
+    open, at most 15 x 2048 points.
     """
     check_tol(tol)
-    x16, w16 = gauss_legendre(16)
-    x8, w8 = gauss_legendre(8)
-    nodes = np.concatenate([x16, x8])
+    nodes, w15, w7 = gauss_kronrod_15()
 
-    panels: list[complex] = []  # 16-point panel values
+    panels: list[complex] = []  # 15-point Kronrod panel values
     quad_error = 0.0
     panel_means: list[tuple[float, float]] = []  # (u midpoint, |mean h|)
     u_edge = 1.0
@@ -483,13 +509,13 @@ def invariant_integral(
         else:
             h = _theta_average(sampler, r, _THETA_START, tol / 50.0)
         vals = h / u**2
-        p16 = half * complex(np.dot(w16, vals[:16]))
-        p8 = half * complex(np.dot(w8, vals[16:]))
-        panels.append(p16)
-        quad_error += abs(p16 - p8)
-        panel_means.append((mid, abs(p16) / (2.0 * half)))
+        p15 = half * complex(np.dot(w15, vals))
+        p7 = half * complex(np.dot(w7, vals[1::2]))
+        panels.append(p15)
+        quad_error += abs(p15 - p7)
+        panel_means.append((mid, abs(p15) / (2.0 * half)))
         u_edge = u_lo
-        if j >= 3 and abs(p16) < tol / 10.0:
+        if j >= 3 and abs(p15) < tol / 10.0:
             converged = True
             break
 

@@ -265,6 +265,9 @@ class _Atom:
       shares (``_unit``) times the tail from n = 0, padded;
     - ``berezin(alpha, beta, z, t, tol)``: (values, error estimates) of
       the transform at the 1-d array z, with t = |z|^2;
+    - ``berezin_value(alpha, beta, z, t, tol)``: the same values, bitwise,
+      without the error estimates (the invariant integral reads only
+      these); the default drops them from ``berezin``;
     - ``sampler_budget(alpha, beta, tol)``: how far a pointwise transform
       tolerance can move the invariant integral (one default for all kinds);
     - ``boundary_weight(order)``: (integral of (1-|w|^2)^(-order) against
@@ -308,6 +311,9 @@ class _Atom:
         total, pad = self._tail(alpha, beta, 0)
         unit, rounding = self._unit(alpha, beta)
         return complex(unit * total), pad + rounding * (total + 2.0 * pad)
+
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+        return self.berezin(alpha, beta, z, t, tol)[0]
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         # the transform carries a (1-|z|^2)^2 factor that cancels the
@@ -353,13 +359,13 @@ class _Radial(_Atom):
         return _diagonal_tail(self, alpha, alpha, dim) if alpha == beta else (0.0, 0.0)
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
-        # the diagonal sum S once per distinct t, broadcast over the points
         prefactor = _prefactor(alpha, beta, z, t)
-        t_distinct, where = np.unique(t, return_inverse=True)
-        S, est = self._diagonal_sum(alpha, beta, t_distinct, tol)
-        S, est = S[where], est[where]
+        S, est = self._diagonal_sum(alpha, beta, t, tol)
         value = prefactor * S
         return value, np.abs(prefactor) * est + (1e-15 + _t_rounding(t)) * np.abs(prefactor) * np.abs(S)
+
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+        return _prefactor(alpha, beta, z, t) * self._diagonal_sum(alpha, beta, t, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -455,6 +461,12 @@ class PointMass(_Atom):
         if not abs(self.z0) < 1.0:
             raise ValueError(f"point mass must sit inside the disk, got |z0|={abs(self.z0)}")
 
+    @property
+    def radial(self) -> bool:
+        # only the mass at the origin is rotation invariant: its truncation is
+        # the single entry (n, m) = (beta, alpha), on the band m - alpha = n - beta
+        return self.z0 == 0
+
     def to_config(self) -> dict:
         return {"kind": self.kind, "re": self.z0.real, "im": self.z0.imag}
 
@@ -497,14 +509,18 @@ class PointMass(_Atom):
         phase = self.z0 / abs(self.z0)
         return _sign(alpha, beta) * (phase if k > 0 else phase.conjugate()) ** abs(k), 3.0 * abs(k) * _EPS
 
-    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
         z0 = self.z0
-        gap = 1.0 - z.conjugate() * z0
-        value = (
+        return (
             _prefactor(alpha, beta, z, t)
-            * _ipow(gap, -(2 + alpha))
+            * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
             * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
         )
+
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+        z0 = self.z0
+        value = self.berezin_value(alpha, beta, z, t, tol)
+        gap = 1.0 - z.conjugate() * z0
         # each rounded product conj(z) z0 is within sqrt(2) gamma_2 |z||z0|
         # (Higham, Accuracy and Stability, §3.6, Lemma 3.5); it moves 1 - conj(z) z0
         # by that over |1 - conj(z) z0| relative; the powers amplify it 4+alpha+beta times
@@ -660,6 +676,9 @@ class Combination:
         return self._sum(
             "berezin", (alpha, beta, z, t, tol), np.zeros(z.size, dtype=complex), np.zeros(z.size)
         )
+
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+        return self._sum("berezin_value", (alpha, beta, z, t, tol), np.zeros(z.size, dtype=complex))
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         return sum(abs(c) * atom.sampler_budget(alpha, beta, tol) for c, atom in self._nonzero())

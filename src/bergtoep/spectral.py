@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berezin import _berezin_values, invariant_integral
+from .berezin import _berezin_value_only, invariant_integral
 from .errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
 from .measures import BaseMeasure, SymbolSpec, boundary_weight_integral
 from .numutil import check_tol
@@ -130,6 +130,7 @@ def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
 def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float]:
     """Trace as the invariant-measure integral of the Berezin transform.
 
+    The sampler reads the transform's values only (``berezin_value``).
     The reported error adds the sampler budget: how far the transform
     evaluations' own tolerance can move the integral.
     """
@@ -137,7 +138,7 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
     radial = symbol.base.radial and symbol.alpha == symbol.beta
 
     def sampler(z: np.ndarray) -> np.ndarray:
-        return _berezin_values(symbol, z, tol / 10.0)[0]
+        return _berezin_value_only(symbol, z, tol / 10.0)
 
     result = invariant_integral(sampler, radial_hint=radial, tol=tol)
     budget = symbol.base.sampler_budget(symbol.alpha, symbol.beta, tol / 10.0)

@@ -36,7 +36,6 @@ from bergtoep.spectral import (
     carleson_bound_estimate,
     decay_fit,
     hermitian_eigenvalues,
-    jacobi_svd,
     singular_values,
     trace_berezin,
     trace_closed_form,
@@ -122,17 +121,21 @@ def test_criterion_04_radial_weight_adjudication():
 
 
 def test_criterion_05_rank_one_law():
+    # the law on the spectrum the library reports, and on an independent
+    # LAPACK SVD of the dense truncation, with the same two thresholds
     ok = True
     details = []
     for alpha, beta in ((0, 0), (1, 1), (1, 0)):
         symbol = SymbolSpec(alpha, beta, PointMass(0.5))
-        svals = jacobi_svd(assemble(symbol, 128).entries)
-        ratio = svals[1] / svals[0]
-        ok = ok and ratio <= 1e-10
-        details.append(f"({alpha},{beta}) s1/s0={ratio:.2e}")
-        if alpha == beta:
-            trace = trace_closed_form(symbol)[0].real
-            ok = ok and abs(svals[0] - trace) <= 1e-8
+        op = assemble(symbol, 128)
+        library, lapack = singular_values(op).svals, np.linalg.svd(op.entries, compute_uv=False)
+        for route, svals in (("library", library), ("lapack", lapack)):
+            ratio = svals[1] / svals[0]
+            ok = ok and ratio <= 1e-10
+            details.append(f"({alpha},{beta}) {route} s1/s0={ratio:.2e}")
+            if alpha == beta:
+                trace = trace_closed_form(symbol)[0].real
+                ok = ok and abs(svals[0] - trace) <= 1e-8
     assert _report(5, ok, ", ".join(details))
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from bergtoep import berezin
 from bergtoep.berezin import (
+    _berezin_value_only,
     _berezin_values,
     _euler_hyp2f1,
     _gauss_jacobi_half,
@@ -35,7 +36,7 @@ from bergtoep.measures import (
     SymbolSpec,
     moment,
 )
-from bergtoep.numutil import gauss_legendre, int_factorial
+from bergtoep.numutil import gauss_kronrod_15, gauss_legendre, int_factorial
 from bergtoep.operators import assemble
 
 
@@ -511,6 +512,53 @@ def test_array_sampler_matches_one_point_calls_bitwise(symbol):
         assert sample.value == values[k] and sample.est_error == errors[k]
     grid, grid_errors = _berezin_values(symbol, _BATCH_POINTS.reshape(3, 4), 1e-10)
     assert grid.tobytes() == values.tobytes() and grid_errors.tobytes() == errors.tobytes()
+    # the value-only method, and its array helper, give the same values to the bit
+    t = (_BATCH_POINTS * _BATCH_POINTS.conjugate()).real
+    only = symbol.base.berezin_value(symbol.alpha, symbol.beta, _BATCH_POINTS, t, 1e-10)
+    assert only.tobytes() == values.tobytes()
+    assert _berezin_value_only(symbol, _BATCH_POINTS.reshape(3, 4), 1e-10).tobytes() == values.tobytes()
+
+
+def test_gauss_kronrod_15_integrates_monomials_to_its_degree():
+    import mpmath
+
+    nodes, kronrod, gauss = gauss_kronrod_15()
+    assert nodes.shape == kronrod.shape == (15,) and gauss.shape == (7,)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0.0)
+    # the Gauss rule sits on the odd-indexed Kronrod nodes: those of leggauss(7)
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    eps = np.finfo(float).eps
+    assert np.allclose(nodes[1::2], x7, rtol=0.0, atol=eps)
+    assert np.allclose(gauss, w7, rtol=0.0, atol=2 * eps)
+    with mpmath.workdps(40):
+        def rule(x, w, k):  # the float rule summed exactly
+            return mpmath.fsum(mpmath.mpf(float(wi)) * mpmath.mpf(float(xi)) ** k for xi, wi in zip(x, w))
+
+        for k in range(24):
+            exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
+            assert abs(rule(nodes, kronrod, k) - exact) <= 4 * eps * max(exact, 1), k
+            if k <= 13:
+                assert abs(rule(nodes[1::2], gauss, k) - exact) <= 4 * eps * max(exact, 1), k
+        # and no further: G7 misses x^14
+        assert abs(rule(nodes[1::2], gauss, 14) - mpmath.mpf(2) / 15) > 1e-4
+
+
+def test_invariant_integral_panel_value_is_k15_and_estimate_k15_minus_g7():
+    # h = u^24 makes the panel integrand u^22 in u = 1 - |z|^2: K15 is exact
+    # on it, G7 is not, so the value is the integral over the panels to the
+    # rounding and quad_error is the sum of the G7 errors, panel by panel
+    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 24)
+    r = invariant_integral(sampler, True, 1e-8)
+    u_edge = 2.0 ** -len(sampler.batches)
+    assert r.value.real == pytest.approx((1.0 - u_edge**23) / 23.0, rel=4e-16)
+    x7, w7 = np.polynomial.legendre.leggauss(7)
+    g7_error = 0.0
+    for j in range(len(sampler.batches)):
+        lo, hi = 2.0 ** -(j + 1), 2.0**-j
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        g7_error += abs((hi**23 - lo**23) / 23.0 - half * np.dot(w7, (mid + half * x7) ** 22))
+    assert r.quad_error == pytest.approx(g7_error, rel=1e-6)
+    assert r.quad_error > 1e-9  # G7 alone would be this far off
 
 
 class _RecordingSampler:
@@ -531,7 +579,7 @@ def test_invariant_integral_radial_hint_samples_one_panel_per_call():
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
     assert len(sampler.batches) >= 4
     for z in sampler.batches:
-        assert isinstance(z, np.ndarray) and z.shape == (24,)
+        assert isinstance(z, np.ndarray) and z.shape == (15,)
         assert np.all(z.imag == 0.0)
 
 

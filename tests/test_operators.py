@@ -107,6 +107,21 @@ def test_operator_flags_follow_the_symbol():
             TruncatedOperator(dim, symbols[0])
 
 
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 1), (2, 1), (1, 3)])
+def test_origin_point_mass_is_a_radial_band(alpha, beta):
+    # the truncation of delta_0 is the single entry (n, m) = (beta, alpha),
+    # which lies on the band m - alpha = n - beta, alone or beside a radial kind
+    op = assemble(SymbolSpec(alpha, beta, PointMass(0.0)), 6)
+    n, m = np.nonzero(op.entries)
+    assert (n.tolist(), m.tolist()) == ([beta], [alpha]) and m[0] - alpha == n[0] - beta
+    assert op.is_radial_band and PointMass(0.0).radial and not PointMass(1e-300).radial
+    mixed_base = Combination(((2.0, PointMass(0.0)), (0.5, CircleUniform(0.4))))
+    mixed = assemble(SymbolSpec(alpha, beta, mixed_base), 6)
+    assert mixed.is_radial_band
+    n_idx, m_idx = np.indices((6, 6))
+    assert np.all(mixed.entries[(m_idx - alpha) != (n_idx - beta)] == 0.0)
+
+
 def test_entry_matches_assemble_elementwise():
     symbols = [
         SymbolSpec(1, 1, PointMass(0.4 + 0.2j)),

@@ -264,6 +264,29 @@ def test_trace_berezin_circle_derivative_bar_covers_the_exact_trace():
         assert abs(value - (-4.0 * r0 / (1.0 - r0 * r0) ** 3)) <= err, r0
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+def test_trace_berezin_origin_point_mass_takes_the_radial_hint(monkeypatch, alpha):
+    # delta_0 is rotation invariant, so at alpha = beta the sampler sees one
+    # real 1-d batch of radii per panel, no circle of angular nodes
+    batches = []
+    original = spectral.invariant_integral
+
+    def recording(sampler, radial_hint, tol):
+        def record(z):
+            batches.append(z)
+            return sampler(z)
+
+        return original(record, radial_hint, tol)
+
+    monkeypatch.setattr(spectral, "invariant_integral", recording)
+    symbol = SymbolSpec(alpha, alpha, PointMass(0.0))
+    value, err = trace_berezin(symbol)
+    closed, _ = trace_closed_form(symbol)
+    assert batches and all(z.shape == (15,) and np.all(z.imag == 0.0) for z in batches)
+    assert sum(z.size for z in batches) <= 1000
+    assert abs(value - closed) <= err and err <= 1e-8 * abs(closed)
+
+
 def test_trace_berezin_gate():
     with pytest.raises(NotTraceClassError):
         trace_berezin(SymbolSpec(1, 1, RadialPower(s=2.0)))
