@@ -11,13 +11,10 @@ with M the monomial moments of the base measure.  The orders are integers,
 so 2F1(alpha+2, beta+2; 1; y) is, by Euler's transformation, a polynomial
 over a power of 1 - y.  The point mass, the uniform circle (S is that 2F1
 at y = |z|^2 r0^2) and its radial derivative have closed forms with
-rounding-only error bars.  A radial power base collapses S to a series;
-near the boundary it is traded for an integral of the 2F1 against the
-weight, evaluable where the series would need billions of terms: dyadic
-Gauss-Legendre panels toward the kernel singularity at x = 1, evaluated
-only as deep as the rows need, and one Gauss-Jacobi rule for the weight
-x^a on the half toward x = 0.  Every route takes arrays of points: series
-are summed row by row, each row stopping on its own tail bound.
+rounding-only error bars.  A radial power base turns S into an integral
+of that 2F1 against the weight, which one trapezoid rule on a log scale
+evaluates at every |z| < 1 with a derived error bound and no tolerance
+(``_radial_power_S``).  Every route takes arrays of points.
 
 The invariant integral uses composite 15-node Gauss-Kronrod panels on a
 dyadic mesh graded toward t = |z|^2 = 1, each panel's error estimate read
@@ -30,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,7 +38,6 @@ from .numutil import (
     check_tol,
     falling_factorial,
     gauss_kronrod_15,
-    gauss_legendre,
     int_factorial,
     ratio_series,
 )
@@ -56,10 +51,7 @@ __all__ = [
     "InvariantIntegralResult",
 ]
 
-_EPS = np.finfo(float).eps
-# beyond this |z|^2 the radial-power series is replaced by the
-# hypergeometric integral representation
-_SERIES_T_MAX = 0.81
+_U = np.finfo(float).eps / 2.0
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,11 @@ class BerezinSample:
     est_error: float
 
 
+def _gamma(n: float) -> float:
+    """Higham's gamma_n = n u / (1 - n u): the relative error of n roundings."""
+    return n * _U / (1.0 - n * _U)
+
+
 def _ipow(w: np.ndarray, k: int) -> np.ndarray:
     """w**k for an integer k by repeated multiplication, elementwise."""
     if k < 0:
@@ -82,83 +79,11 @@ def _ipow(w: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _weighted_sum(weights: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Sum of weights[k] * f[..., k] over k, in index order."""
-    acc = weights[0] * f[..., 0]
-    for k in range(1, weights.size):
-        acc = acc + weights[k] * f[..., k]
-    return acc
-
-
-# dyadic panels of the hypergeometric integral on x in (1/2, 1), and the
-# panels a batch evaluates past its deepest forced panel before it looks
-# for every row's stop
-_HYP_PANELS = 51
-_HYP_MARGIN = 6
-# radii per hypergeometric batch, which bounds its arrays to ~0.5 MB each
-_HYP_BATCH = 24
-
-
-@lru_cache(maxsize=8)
-def _hyp_panel_table(s: float, a: float):
-    """Every candidate panel of the hypergeometric integral on x in
-    (1/2, 1), 16 + 8 Gauss nodes each: x nodes, the weight x^a (1-x)^s
-    there, panel half widths, and panel indices j.
-
-    The mesh is dyadic in u = 1 - x, graded toward the kernel singularity
-    at x = 1; panel j spans u in 2^-(j+1) .. 2^-j.
-    """
-    x16, _ = gauss_legendre(16)
-    x8, _ = gauss_legendre(8)
-    nodes = np.concatenate([x16, x8])
-    j = np.arange(1, _HYP_PANELS + 1)
-    lo, hi = 2.0 ** -(j + 1.0), 2.0 ** -j.astype(float)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    u = mid[:, None] + half[:, None] * nodes
-    x = 1.0 - u
-    table = (x, x**a * u**s, half, j)
-    for array in table:  # shared by every caller through the cache
-        array.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=8)
-def _gauss_jacobi_half(n: int, a: float):
-    """n-node Gauss rule for the weight x^a on (0, 1/2), by Golub & Welsch
-    (Math. Comp. 23, 1969): the nodes are the eigenvalues of the Jacobi
-    matrix of the monic orthogonal polynomials, the weights the squared
-    first eigenvector components times the mass (1/2)^(a+1) / (a+1).
-
-    Returns (nodes, weights, weight_error).  ``weight_error`` is the
-    largest relative error of the rule, as computed, on the moments
-    x^(a+k), k < 2n, which it integrates exactly in exact arithmetic.
-    """
-    # the Jacobi (0, a) recurrence on (-1, 1), weight (1+y)^a, mapped by x = (1+y)/4
-    k = np.arange(1.0, n)
-    diag = np.concatenate([[a / (a + 2.0)], a * a / ((2.0 * k + a) * (2.0 * k + a + 2.0))])
-    b = 4.0 * k * k * (k + a) ** 2 / ((2.0 * k + a) ** 2 * (2.0 * k + a + 1.0) * (2.0 * k + a - 1.0))
-    off = np.sqrt(b) / 4.0
-    jacobi = np.diag((1.0 + diag) / 4.0) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, vectors = np.linalg.eigh(jacobi)
-    mass = 0.5 ** (a + 1.0) / (a + 1.0)
-    weights = mass * vectors[0] ** 2
-    powers = np.arange(2 * n, dtype=float)
-    moments = 0.5 ** (a + powers + 1.0) / (a + powers + 1.0)
-    rule = (weights * nodes ** powers[:, None]).sum(axis=1)
-    weight_error = float(np.max(np.abs(rule - moments) / moments))
-    for array in (nodes, weights):
-        array.setflags(write=False)
-    return nodes, weights, weight_error
-
-
-def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
-    """2F1(alpha+2, beta+2; 1; y) for integer orders, elementwise on y < 1.
-
-    Euler's transformation (DLMF 15.8.1) gives (1-y)^-(alpha+beta+3) P(y),
-    with P = 2F1(-alpha-1, -beta-1; 1; y) a polynomial of degree
-    min(alpha, beta) + 1 whose coefficients (alpha+1)_k (beta+1)_k / (k!)^2
-    (falling factorials) are all positive, so nothing cancels.
-    """
+def _euler_poly(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
+    """P(y) = 2F1(-alpha-1, -beta-1; 1; y) elementwise, by Horner: a
+    polynomial of degree min(alpha, beta) + 1 whose coefficients
+    (alpha+1)_k (beta+1)_k / (k!)^2 (falling factorials) are all positive,
+    so nothing cancels for y >= 0."""
     # in place: a batch is ~0.5 MB per array, and each fresh one is a new
     # mapping, with its page faults, once the allocator has given it back
     poly = np.zeros_like(y)
@@ -166,125 +91,120 @@ def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
         coeff = falling_factorial(alpha + 1, k) * falling_factorial(beta + 1, k) / int_factorial(k) ** 2
         poly *= y
         poly += coeff
+    return poly
+
+
+def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
+    """2F1(alpha+2, beta+2; 1; y) for integer orders, elementwise on y < 1:
+    (1-y)^-(alpha+beta+3) P(y) by Euler's transformation (DLMF 15.8.1)."""
+    poly = _euler_poly(alpha, beta, y)
     denom = 1.0 - y
     denom **= alpha + beta + 3
     poly /= denom
     return poly
 
 
-def _first_stop(stop: np.ndarray) -> np.ndarray:
-    """Per row, the index of the first True, or the last index if none."""
-    return np.where(stop.any(axis=1), stop.argmax(axis=1), stop.shape[1] - 1)
+_LN2 = math.log(2.0)
+_LN_INV_U = -math.log(_U)
+# ln(1/(1-t)) for the largest float t < 1: the node range reaches it
+_LN_INV_EPS_MIN = 53.0 * _LN2
 
 
-def _toward_one(alpha: int, beta: int, s: float, a: float, t: np.ndarray, tol: float):
-    """The panels on x in (1/2, 1) for one batch of rows t.
+def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
+    """Diagonal sum S for a radial power base at each t = |z|^2 < 1.
 
-    Each row keeps the panels up to its own stopping panel, the first with
-    2^-j <= (1-t)/8 (forced), |p16| < tol/20 and j >= 2.  The batch
-    evaluates its panels up to its deepest forced panel plus _HYP_MARGIN,
-    and the rest only if some row has not stopped there, so every row's
-    panels, stop and sums are those of a full evaluation, whatever its
-    batch.  Returns per row the running sum of the kept 16-point panel
-    values in panel order, the sum of |p16 - p8| over them, and the stop.
-    """
-    _, w16 = gauss_legendre(16)
-    _, w8 = gauss_legendre(8)
-    x, weight, half, j = _hyp_panel_table(s, a)
-    forced = 2.0**-j <= (1.0 - t[:, None]) / 8.0
+    S(t) = integral over x in (0, 1) of x^a (1-x)^s P(t x) (1-t x)^-m dx,
+    m = alpha + beta + 3, P the Euler polynomial (``_euler_poly``).  With
+    eps = 1 - t, x = 1/(1+w) and w = eps e^v it is the integral over all
+    real v of
 
-    def panels(cols: slice):
-        f = weight[cols] * _euler_hyp2f1(alpha, beta, t[:, None, None] * x[cols])
-        p16 = half[cols] * _weighted_sum(w16, f[..., :16])
-        p8 = half[cols] * _weighted_sum(w8, f[..., 16:])
-        return p16, p8, (np.abs(p16) < tol / 20.0) & (j[cols] >= 2) & forced[:, cols]
+        f(v) = w^(s+1) (eps+w)^-m (1+w)^q P(t/(1+w)),  q = m - a - s - 2,
 
-    cut = min(int(_first_stop(forced).max()) + 1 + _HYP_MARGIN, _HYP_PANELS)
-    p16, p8, stop = panels(slice(0, cut))
-    if cut < _HYP_PANELS and not stop.any(axis=1).all():
-        deeper = panels(slice(cut, _HYP_PANELS))
-        p16, p8, stop = (np.concatenate([head, tail], axis=1) for head, tail in zip((p16, p8, stop), deeper))
-    stop = _first_stop(stop)
-    used = np.arange(p16.shape[1]) <= stop[:, None]
-    # running sums in panel order, as the panels are visited
-    kept = np.cumsum(np.where(used, p16, 0.0), axis=1)[:, -1]
-    quad_err = np.cumsum(np.where(used, np.abs(p16 - p8), 0.0), axis=1)[:, -1]
-    return kept, quad_err, j[stop]
+    positive, decaying like e^((s+1) v) toward -inf and like e^(-(a+1) v)
+    past v = ln(1/eps).  It is evaluated as r1^(s+1) r2^p r3^(a+1) P(t r3),
+    p = s + 1 - m, with r1 = e^v/(1+e^v), r2 = (eps+w)/(1+w) = 1 - t x and
+    r3 = 1/(1+w) = x: all in (0, 1], and r2 >= eps, so no factor overflows
+    or underflows where S is a normal float.
 
+    f is analytic for |Im v| < pi.  There |1+e^(v+iy)| >= (1+e^v) cos(y/2),
+    the same with w for e^v, and P has nonnegative coefficients, so
+    |f(v+iy)| <= K f(v), K = sec(d/2)^(m + max(0, -q) + deg P).  By
+    Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1) the trapezoid rule
+    of step h errs by at most 2 K S / (e^(2 pi d/h) - 1); with d = 2 pi/3
+    (sec(d/2) = 2), h is the largest 2^-j that makes this at most u S.
+    The nodes k h span a range fixed by (alpha, beta, s, a) past which
+    both tails, bounded in closed form, fall below u S whatever t; more
+    than 2^16 nodes (s or a past several hundred) raise
+    NumericalFailureError.
 
-def _radial_power_integral(alpha: int, beta: int, s: float, a: float, t: np.ndarray, tol: float):
-    """S(t) = integral over x in (0,1) of x^a (1-x)^s 2F1(alpha+2, beta+2; 1; t x) dx.
-
-    On x in (1/2, 1) a dyadic mesh graded toward the kernel singularity at
-    x = 1 (``_toward_one``), its sliver past each row's stop bracketed in
-    closed form.  On x in (0, 1/2) the integrand is x^a times a function
-    analytic out to x = 1, so one Gauss-Jacobi rule for the weight x^a
-    integrates it: the value is the 24-node rule's, the estimate
-    |G24 - G16| plus the rounding of the rule's own weights
-    (``_gauss_jacobi_half``) and of its sum.  The estimate adds the 8-point
-    rule's per-panel error and the bracket's half width.
-    """
-    x24, w24, weight_error = _gauss_jacobi_half(24, a)
-    x16, w16, _ = _gauss_jacobi_half(16, a)
-    # the rest of the integrand's weight, (1-x)^s, joins the rules' weights
-    w24, w16 = w24 * (1.0 - x24) ** s, w16 * (1.0 - x16) ** s
-    rounding = weight_error + 24 * _EPS
-    x_zero = np.concatenate([x24, x16])
-    total = np.empty(t.size)
-    est = np.empty(t.size)
-    for lo in range(0, t.size, _HYP_BATCH):
-        tb = t[lo : lo + _HYP_BATCH]
-        kept, quad_err, j_stop = _toward_one(alpha, beta, s, a, tb, tol)
-        f = _euler_hyp2f1(alpha, beta, tb[:, None] * x_zero)
-        g24 = _weighted_sum(w24, f[:, : x24.size])
-        g16 = _weighted_sum(w16, f[:, x24.size :])
-        # the sliver past the stopping panel, u in (0, u_end), is not
-        # integrated: (1-x)^s is integrated exactly and the other two
-        # factors are bracketed by their values at the sliver's ends
-        # (2F1(., t x) grows with x, as its Euler polynomial's coefficients
-        # are positive).  The value takes the bracket's midpoint, the
-        # estimate its half width.
-        u_end = 2.0 ** -(j_stop + 1.0)
-        x_pow = (1.0 - u_end) ** a
-        one = u_end ** (s + 1.0) / (s + 1.0)
-        upper = np.maximum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb) * one
-        lower = np.minimum(1.0, x_pow) * _euler_hyp2f1(alpha, beta, tb * (1.0 - u_end)) * one
-        total[lo : lo + _HYP_BATCH] = kept + g24 + 0.5 * (upper + lower)
-        # the integrand is positive on (0, 1/2), so g24 is also the sum of |terms|
-        est[lo : lo + _HYP_BATCH] = quad_err + 0.5 * (upper - lower) + np.abs(g24 - g16) + rounding * g24
-    return total, est
-
-
-def _radial_power_S(alpha: int, beta: int, s: float, a: float, t, tol: float):
-    """Diagonal sum S for a radial power base at each t = |z|^2.
-
-    Power series up to _SERIES_T_MAX; beyond it the Beta moments are
-    unfolded back into their defining integral and the p-sum is done in
-    closed form (``_radial_power_integral``).  Each distinct t is summed
-    once and broadcast over the points that share it.  Returns (S, est)
-    arrays.
+    The estimate adds: u S for the rule; the two tails; the rounding of
+    each node, c u relative from its operation count (exp and pow within
+    one ulp, P by Horner); the rounding of the running sum, u per partial
+    sum; and S's sensitivity to the rounding of t = |z|^2,
+    gamma_2 (deg P + m t/(1-t)).  Each row sums its own nodes in one fixed
+    order, whatever else shares the batch; each distinct t is summed once.
+    Returns (S, est) arrays.
     """
     t, where = np.unique(np.atleast_1d(np.asarray(t, dtype=float)), return_inverse=True)
+    m, deg = alpha + beta + 3, min(alpha, beta) + 1
+    p, q = s + 1.0 - m, m - a - s - 2.0
+    # the largest h = 2^-j with e^(2 pi d/h) >= 2 K/u + 1, d = 2 pi/3
+    log_k = (m + max(0.0, -q) + deg) * _LN2
+    log_bound = log_k + _LN2 + _LN_INV_U + math.log1p(_U * math.exp(-log_k - _LN2))
+    h = 2.0 ** -max(0, math.ceil(math.log2(log_bound / (4.0 * math.pi**2 / 3.0))))
+    # the tails' bounds against lower bounds of S over v < 0 and over w > 1
+    # (P(1) = binom(m-1, alpha+1) by Vandermonde's identity), where e^v is finite
+    below = min((_LN_INV_U + (s + a + 2.0 + deg + abs(p)) * _LN2) / (s + 1.0), 700.0)
+    above = (_LN_INV_U + (s + a + 2.0 + abs(p)) * _LN2 + math.log(math.comb(m - 1, alpha + 1))) / (a + 1.0)
+    first, last = -math.ceil(below / h), math.ceil(min(above + _LN_INV_EPS_MIN, 700.0) / h)
+    rows = 2**16 // (last - first + 1)  # ~0.5 MB per array
+    if not rows:
+        raise NumericalFailureError(
+            f"radial power transform at s={s}, a={a} needs {last - first + 1} trapezoid nodes, over 2^16"
+        )
+    k = np.arange(first, last + 1)
+    e = np.exp(k * h)[:, None]
+    one_e = 1.0 + e
+    r1 = (e / one_e) ** (s + 1.0)
+
     S = np.empty(t.size)
-    est = np.empty(t.size)
-    low = t <= _SERIES_T_MAX
-    if low.any():
-        t_low = t[low]
+    partials = np.empty(t.size)
+    for i in range(0, t.size, rows):
+        tc = t[i : i + rows]
+        eps = 1.0 - tc
+        r3 = 1.0 / (1.0 + eps * e)
+        f = r1 * (eps * one_e * r3) ** p
+        f *= r3 ** (a + 1.0)
+        f *= _euler_poly(alpha, beta, tc * r3)
+        # from the far end of the slow e^(-(a+1) v) tail, so that the
+        # partial sums, whose total bounds the sum's rounding, stay small there
+        partial = np.cumsum(f[::-1], axis=0)
+        S[i : i + rows] = h * partial[-1]
+        partials[i : i + rows] = h * np.cumsum(partial, axis=0)[-1]
 
-        def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-            return (
-                (p + alpha + 2.0)
-                * (p + beta + 2.0)
-                / ((p + 1.0) * (p + 1.0))
-                * t_low[rows]
-                * (p + a + 1.0)
-                / (p + a + s + 2.0)
-            )
-
-        first = np.full(t_low.size, beta_integral(a + 1.0, s + 1.0))
-        S[low], est[low] = ratio_series(first, ratio_at, tol, ratio_sup=t_low)
-    if not low.all():
-        S[~low], est[~low] = _radial_power_integral(alpha, beta, s, a, t[~low], tol)
+    eps = 1.0 - t
+    P_t = _euler_poly(alpha, beta, t)
+    # v < v_lo: r1 < e^v, r2^p <= eps^p (1 + e^v_lo)^max(p, 0), r3 <= 1, P(t r3) <= P(t)
+    v_lo, v_hi = first * h, last * h
+    tail_lo = h * math.exp((s + 1.0) * v_lo) / math.expm1((s + 1.0) * h) * (1.0 + math.exp(v_lo)) ** max(p, 0.0)
+    tail_lo = tail_lo * eps**p * P_t
+    # v > v_hi: r1 <= 1, r2^p <= (1 + 1/w_hi)^max(-p, 0), r3^(a+1) < w^-(a+1)
+    w_hi = eps * math.exp(v_hi)
+    tail_hi = h * w_hi ** -(a + 1.0) / math.expm1((a + 1.0) * h) * (1.0 + 1.0 / w_hi) ** max(-p, 0.0) * P_t
+    tails = tail_lo + tail_hi
+    # per node: r1 6u, 1 - t u, r3 6u, r2 12u, then each pow adds one ulp
+    # to its exponent times its base's error; t r3 7u into P, Horner
+    # (2 deg + 1) u; three products
+    c = 6.0 * (s + 1.0) + 12.0 * abs(p) + 6.0 * (a + 1.0) + 9.0 * deg + 10.0
+    # the running sum errs by u/(1-u) per partial sum; 2u covers it with
+    # the rounding of their own sum
+    est = (
+        tails
+        + _U * (S + tails)
+        + _gamma(c) * S
+        + 2.0 * _U * partials
+        + _gamma(2.0) * (deg + m * t / eps) * S
+    )
     return S[where], est[where]
 
 
@@ -313,19 +233,19 @@ def _flat_points(z):
     return z, flat, t
 
 
-def _berezin_values(symbol, z, tol: float):
+def _berezin_values(symbol, z):
     """Analytic-route transform of the ``SymbolSpec`` at every point of the
     array ``z``, unfenced; returns (values, est_errors) shaped like ``z``."""
     z, flat, t = _flat_points(z)
-    value, err = symbol.base.berezin(symbol.alpha, symbol.beta, flat, t, tol)
+    value, err = symbol.base.berezin(symbol.alpha, symbol.beta, flat, t)
     return value.reshape(z.shape), err.reshape(z.shape)
 
 
-def _berezin_value_only(symbol, z, tol: float):
+def _berezin_value_only(symbol, z):
     """The values of ``_berezin_values``, bitwise, without their error
     estimates."""
     z, flat, t = _flat_points(z)
-    return symbol.base.berezin_value(symbol.alpha, symbol.beta, flat, t, tol).reshape(z.shape)
+    return symbol.base.berezin_value(symbol.alpha, symbol.beta, flat, t).reshape(z.shape)
 
 
 def _check_fence(z: complex) -> None:
@@ -335,13 +255,12 @@ def _check_fence(z: complex) -> None:
         )
 
 
-def berezin_series(symbol, z: complex, tol: float = 1e-10) -> BerezinSample:
+def berezin_series(symbol, z: complex) -> BerezinSample:
     """Berezin transform of the ``SymbolSpec`` at z by the analytic route
-    (series or closed form)."""
+    (closed form, or the radial power's trapezoid rule)."""
     z = complex(z)
-    check_tol(tol)
     _check_fence(z)
-    value, est = _berezin_values(symbol, np.array([z]), tol)
+    value, est = _berezin_values(symbol, np.array([z]))
     return BerezinSample(z=z, value=complex(value[0]), route="series", est_error=float(est[0]))
 
 

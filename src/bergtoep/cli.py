@@ -339,7 +339,7 @@ def _cmd_berezin(args) -> tuple[str, int]:
     samples = []
     for text in args.z:
         z = parse_complex(text)
-        series = berezin_series(symbol, z, tol=args.tol)
+        series = berezin_series(symbol, z)
         matrix = berezin_matrix(op, z)
         samples.append(
             {
@@ -417,22 +417,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bergtoep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_dim=True, with_tol=False):
+    def common(p, with_dim=True):
         p.add_argument("--symbol", required=True, help="path to a symbol JSON file, or inline JSON")
         if with_dim:
             p.add_argument("--dim", type=int, default=256, help="truncation dimension (default 256)")
-        if with_tol:
-            p.add_argument("--tol", type=_finite_float, default=1e-8, help="tolerance (default 1e-8)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     p = sub.add_parser("trace", help="trace by all three routes with agreement check")
-    common(p, with_tol=True)
+    common(p)
+    p.add_argument("--tol", type=_finite_float, default=1e-8, help="tolerance (default 1e-8)")
     p = sub.add_parser("spectrum", help="singular values and exponential decay fit")
     common(p)
     p.add_argument("--rank-tol", type=_finite_float, default=1e-12, dest="rank_tol")
     p.add_argument("--window", type=int, nargs=2, metavar=("N0", "N1"))
     p = sub.add_parser("berezin", help="Berezin transform by series and matrix routes")
-    common(p, with_tol=True)
+    common(p)
     p.add_argument("--z", action="append", required=True, help="evaluation point 'a+bi' (repeatable)")
     p = sub.add_parser("matrix", help="export the truncated operator matrix")
     common(p)

@@ -263,13 +263,13 @@ class _Atom:
     - ``closed_trace(alpha, beta)``: (value, bound) of the pairing with
       the derivative kernel, the whole diagonal: the unit every entry
       shares (``_unit``) times the tail from n = 0, padded;
-    - ``berezin(alpha, beta, z, t, tol)``: (values, error estimates) of
-      the transform at the 1-d array z, with t = |z|^2;
-    - ``berezin_value(alpha, beta, z, t, tol)``: the same values, bitwise,
+    - ``berezin(alpha, beta, z, t)``: (values, error estimates) of the
+      transform at the 1-d array z, with t = |z|^2;
+    - ``berezin_value(alpha, beta, z, t)``: the same values, bitwise,
       without the error estimates (the invariant integral reads only
       these); the default drops them from ``berezin``;
-    - ``sampler_budget(alpha, beta, tol)``: how far a pointwise transform
-      tolerance can move the invariant integral (one default for all kinds);
+    - ``sampler_budget(alpha, beta, tol)``: a margin for the transform
+      evaluations' error in the invariant integral (one default for all kinds);
     - ``boundary_weight(order)``: (integral of (1-|w|^2)^(-order) against
       |mu|, endpoint exponent of (1 - t) that decides its finiteness,
       +inf for compact support);
@@ -312,8 +312,8 @@ class _Atom:
         unit, rounding = self._unit(alpha, beta)
         return complex(unit * total), pad + rounding * (total + 2.0 * pad)
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
-        return self.berezin(alpha, beta, z, t, tol)[0]
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
+        return self.berezin(alpha, beta, z, t)[0]
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         # the transform carries a (1-|z|^2)^2 factor that cancels the
@@ -358,14 +358,14 @@ class _Radial(_Atom):
         # the single band misses the diagonal unless alpha = beta
         return _diagonal_tail(self, alpha, alpha, dim) if alpha == beta else (0.0, 0.0)
 
-    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         prefactor = _prefactor(alpha, beta, z, t)
-        S, est = self._diagonal_sum(alpha, beta, t, tol)
+        S, est = self._diagonal_sum(alpha, beta, t)
         value = prefactor * S
         return value, np.abs(prefactor) * est + (1e-15 + _t_rounding(t)) * np.abs(prefactor) * np.abs(S)
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
-        return _prefactor(alpha, beta, z, t) * self._diagonal_sum(alpha, beta, t, tol)[0]
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
+        return _prefactor(alpha, beta, z, t) * self._diagonal_sum(alpha, beta, t)[0]
 
 
 @dataclass(frozen=True)
@@ -402,8 +402,8 @@ class RadialPower(_Radial):
         x, y = q + self.a + 1.0, self.s - m + 1.0
         return beta_rounding(x, y, _U * (abs(q + self.a) + x), _U * (abs(self.s - m) + y)) + 2.0 * _U
 
-    def _diagonal_sum(self, alpha, beta, t, tol):
-        return _radial_power_S(alpha, beta, self.s, self.a, t, tol)
+    def _diagonal_sum(self, alpha, beta, t):
+        return _radial_power_S(alpha, beta, self.s, self.a, t)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         return self._pairing(1.0, 0, order), self.s - order
@@ -437,7 +437,7 @@ class CircleUniform(_Radial):
         # 1 - t0 carries t0's rounding, t0 u / (1 - t0), and its own
         return _mass_bound(q, m, 1.0 / (1.0 - self.r0**2))
 
-    def _diagonal_sum(self, alpha, beta, t, tol):
+    def _diagonal_sum(self, alpha, beta, t):
         # S = 2F1(alpha+2, beta+2; 1; y) in closed form, over (1-y)^(alpha+beta+3)
         y = t * self.r0 * self.r0
         S = _euler_hyp2f1(alpha, beta, y)
@@ -509,7 +509,7 @@ class PointMass(_Atom):
         phase = self.z0 / abs(self.z0)
         return _sign(alpha, beta) * (phase if k > 0 else phase.conjugate()) ** abs(k), 3.0 * abs(k) * _EPS
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         z0 = self.z0
         return (
             _prefactor(alpha, beta, z, t)
@@ -517,9 +517,9 @@ class PointMass(_Atom):
             * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
         )
 
-    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         z0 = self.z0
-        value = self.berezin_value(alpha, beta, z, t, tol)
+        value = self.berezin_value(alpha, beta, z, t)
         gap = 1.0 - z.conjugate() * z0
         # each rounded product conj(z) z0 is within sqrt(2) gamma_2 |z||z0|
         # (Higham, Accuracy and Stability, §3.6, Lemma 3.5); it moves 1 - conj(z) z0
@@ -578,7 +578,7 @@ class CircleRadialDerivative(_Atom):
     def _unit(self, alpha: int, beta: int) -> tuple[complex, float]:
         return -1.0, 0.0
 
-    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         # minus d/dr at r0 of the angular average of |k_z|^2, (1-t)^2 (2/r0)
         # times the sum over p >= 1 of p (p+1)^2 y^p, which is 2y (2+y) / (1-y)^4
         r0 = self.r0
@@ -672,13 +672,13 @@ class Combination:
     def closed_trace(self, alpha: int, beta: int) -> tuple[complex, float]:
         return self._sum("closed_trace", (alpha, beta), 0.0 + 0.0j, 0.0)
 
-    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         return self._sum(
-            "berezin", (alpha, beta, z, t, tol), np.zeros(z.size, dtype=complex), np.zeros(z.size)
+            "berezin", (alpha, beta, z, t), np.zeros(z.size, dtype=complex), np.zeros(z.size)
         )
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray, tol: float):
-        return self._sum("berezin_value", (alpha, beta, z, t, tol), np.zeros(z.size, dtype=complex))
+    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
+        return self._sum("berezin_value", (alpha, beta, z, t), np.zeros(z.size, dtype=complex))
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         return sum(abs(c) * atom.sampler_budget(alpha, beta, tol) for c, atom in self._nonzero())

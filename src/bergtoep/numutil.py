@@ -1,6 +1,6 @@
 """Small numerical helpers: the Beta integral with its rounding bound,
 falling factorials, the ratio-series summer with its geometric tail
-bound, and the Gauss-Legendre and Gauss-Kronrod rules."""
+bound, and the (7, 15) Gauss-Kronrod rule."""
 
 from __future__ import annotations
 
@@ -112,13 +112,6 @@ def ratio_series(first, ratio_at: Callable, tol: float, ratio_sup=0.0):
         term = term * ratio
         p += 1
     return sums, tails
-
-
-@lru_cache(maxsize=8)
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on (-1, 1), cached."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 # the (7, 15) Gauss-Kronrod pair of QUADPACK's QK15 (Piessens et al., 1983):

@@ -131,14 +131,14 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
     """Trace as the invariant-measure integral of the Berezin transform.
 
     The sampler reads the transform's values only (``berezin_value``).
-    The reported error adds the sampler budget: how far the transform
-    evaluations' own tolerance can move the integral.
+    The reported error adds the sampler budget of the symbol's kinds at
+    tol/10, a margin for the transform evaluations' own error.
     """
     ensure_trace_class(symbol)
     radial = symbol.base.radial and symbol.alpha == symbol.beta
 
     def sampler(z: np.ndarray) -> np.ndarray:
-        return _berezin_value_only(symbol, z, tol / 10.0)
+        return _berezin_value_only(symbol, z)
 
     result = invariant_integral(sampler, radial_hint=radial, tol=tol)
     budget = symbol.base.sampler_budget(symbol.alpha, symbol.beta, tol / 10.0)

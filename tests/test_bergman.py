@@ -18,7 +18,6 @@ from bergtoep.bergman import (
     kernel_deriv_norm,
 )
 from bergtoep.errors import BoundaryError
-from bergtoep.numutil import gauss_legendre
 
 
 def test_basis_deriv_coeff_values():
@@ -29,7 +28,7 @@ def test_basis_deriv_coeff_values():
 
 def test_basis_orthonormality_by_quadrature():
     # independent 2D oracle: Gauss-Legendre in t = |z|^2, trapezoid in angle
-    t_nodes, t_weights = gauss_legendre(32)
+    t_nodes, t_weights = np.polynomial.legendre.leggauss(32)
     t_nodes = 0.5 * (t_nodes + 1.0)
     t_weights = 0.5 * t_weights
     n_theta = 32

@@ -80,7 +80,7 @@ def test_protocol_conformance(base, alpha, beta):
     assert isinstance(bound, float) and 0.0 <= bound <= 1e-12 * base.diagonal_tail(alpha, beta, 0)
 
     t = (Z * Z.conjugate()).real
-    values, errors = base.berezin(alpha, beta, Z, t, 1e-10)
+    values, errors = base.berezin(alpha, beta, Z, t)
     assert values.shape == Z.shape and values.dtype.kind in "fc"  # real for real transforms
     assert errors.shape == Z.shape and errors.dtype == float and np.all(errors >= 0.0)
 
