@@ -18,9 +18,12 @@ evaluates at every |z| < 1 with a derived error bound and no tolerance
 
 The invariant integral uses composite 15-node Gauss-Kronrod panels on a
 dyadic mesh graded toward t = |z|^2 = 1, each panel's error estimate read
-from the 7-node Gauss rule nested in its nodes, sampling a whole panel
-per call (one call per resolved panel, also off the radial case); the
-unresolved boundary sliver is extrapolated and reported, never dropped.
+from the 7-node Gauss rule nested in its nodes.  The whole mesh is sampled
+up front: in one call on the radial hint, otherwise on a trapezoid rule
+per circle, Moebius-mapped around a centre (``_circle_rule``) so that a
+point mass's transform is a Laurent polynomial in the rule's variable,
+exact from a few nodes.  The unresolved boundary sliver is extrapolated
+and reported, never dropped.
 """
 
 from __future__ import annotations
@@ -84,8 +87,7 @@ def _euler_poly(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
     polynomial of degree min(alpha, beta) + 1 whose coefficients
     (alpha+1)_k (beta+1)_k / (k!)^2 (falling factorials) are all positive,
     so nothing cancels for y >= 0."""
-    # in place: a batch is ~0.5 MB per array, and each fresh one is a new
-    # mapping, with its page faults, once the allocator has given it back
+    # in place: one array per batch, not one per Horner step
     poly = np.zeros_like(y)
     for k in range(min(alpha, beta) + 1, -1, -1):  # Horner, top coefficient first
         coeff = falling_factorial(alpha + 1, k) * falling_factorial(beta + 1, k) / int_factorial(k) ** 2
@@ -157,11 +159,11 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
     below = min((_LN_INV_U + (s + a + 2.0 + deg + abs(p)) * _LN2) / (s + 1.0), 700.0)
     above = (_LN_INV_U + (s + a + 2.0 + abs(p)) * _LN2 + math.log(math.comb(m - 1, alpha + 1))) / (a + 1.0)
     first, last = -math.ceil(below / h), math.ceil(min(above + _LN_INV_EPS_MIN, 700.0) / h)
-    rows = 2**16 // (last - first + 1)  # ~0.5 MB per array
-    if not rows:
+    if last - first + 1 > 2**16:
         raise NumericalFailureError(
             f"radial power transform at s={s}, a={a} needs {last - first + 1} trapezoid nodes, over 2^16"
         )
+    rows = max(1, 2**13 // (last - first + 1))  # at most 64 kB per array, or one row
     k = np.arange(first, last + 1)
     e = np.exp(k * h)[:, None]
     one_e = 1.0 + e
@@ -322,19 +324,25 @@ def weighted_berezin_radial(
     return complex((alpha + 1.0) * (1.0 - t) ** (2 + alpha) * float(series[0]))
 
 
-# dyadic panels of the invariant integral, and trapezoid nodes per circle
-# before the first angular doubling
+# dyadic panels of the invariant integral; trapezoid nodes per circle before
+# the first angular doubling of the plain rule, and the most after doublings
 _INVARIANT_PANELS = 48
 _THETA_START = 64
+_THETA_MAX = 4096
+# the most points in one sampler call: the last doubling of 15 circles
+_CALL_POINTS = 15 * _THETA_MAX // 2
 
 
 @dataclass(frozen=True)
 class InvariantIntegralResult:
-    """Integral against (1-|z|^2)^(-2) dA with split error accounting."""
+    """Integral against (1-|z|^2)^(-2) dA with split error accounting, the
+    number of panels summed and of points handed to the sampler."""
 
     value: complex
     quad_error: float
     boundary_tail: float
+    panels: int
+    samples: int
 
     @property
     def est_error(self) -> float:
@@ -346,97 +354,179 @@ def _sampled(sampler, z: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
 
 
-def _theta_average(sampler, radii: np.ndarray, start: int, tol: float) -> np.ndarray:
-    """Trapezoid averages over the circles of the given radii, each doubled
-    to tolerance.
+def _circle_rule(radii: np.ndarray, centre: complex, n: int, k: np.ndarray):
+    """Nodes and weights of the n-node trapezoid rule on the circles |z| = r
+    of the 1-d ``radii``, Moebius-mapped around ``centre``, at the node
+    indices k: (z, weights), one row per radius, weights None for centre 0.
 
-    Exact for trigonometric polynomials of degree below the node count and
-    geometrically convergent for integrands analytic in the angle.  The
-    first sampler call takes 2 * start nodes per circle: its even half is
-    the start-node rule, and adding the odd half gives the first doubling,
-    so a circle that resolves there costs one call.  Each later call
-    samples only the new odd nodes of every radius still open: the node
-    sums of the earlier ones are kept.  Node sums are reduced in a fixed
-    order, even half first.
+    With rho = r |centre| and w = e^(2 pi i k/n), the nodes are
+    z = r (centre/|centre|) (w + rho)/(1 + rho w) and the weights
+    (1 - rho^2)/|1 + rho w|^2, the map's derivative, so that the rule's
+    average is the sum of weight * f(z) over n.  The map clusters the nodes
+    where a kernel with its pole at 1/conj(centre) peaks, and the rule is
+    exact for Laurent polynomials in w of degree below n (Trefethen &
+    Weideman, SIAM Rev. 56, 2014).  Centre 0 is the plain rule: nodes r w.
     """
-    out = np.empty(radii.size, dtype=complex)
-    sums = np.zeros(radii.size, dtype=complex)
-    rows = np.arange(radii.size)
-    n = 2 * start
-    values = _sampled(sampler, radii[:, None] * np.exp(1j * (2.0 * math.pi * np.arange(n) / n)))
-    sums += values[:, 0::2].sum(axis=1)
-    prev = sums / start
-    sums += values[:, 1::2].sum(axis=1)
-    while True:
-        cur = sums[rows] / n
-        done = np.abs(cur - prev) <= tol + 1e-13 * np.abs(cur)
-        out[rows[done]] = cur[done]
-        rows, prev = rows[~done], cur[~done]
-        if not rows.size:
-            return out
-        n *= 2
-        if n > 4096:
+    w = np.exp(1j * (2.0 * math.pi * k / n))
+    r = radii[:, None]
+    if not centre:
+        return r * w, None
+    rho = r * abs(centre)
+    z = (r * (centre / abs(centre))) * ((w + rho) / (1.0 + rho * w))
+    return z, (1.0 - rho * rho) / np.abs(1.0 + rho * w) ** 2
+
+
+class _CircleAverages:
+    """Trapezoid averages over the circles |z| = r of an array of radii,
+    on the rule ``_circle_rule`` mapped around ``centre``, each doubled
+    until it settles.
+
+    The first sampling takes 2 * start nodes per circle: its even half is
+    the start-node rule, and adding the odd half gives the first doubling,
+    so a circle that settles there is sampled once.  ``double`` samples only
+    the new odd nodes of the circles still open, and keeps the node sums of
+    the earlier ones.  Each circle's sums are reduced in a fixed order, even
+    half first, whatever else shares the sampler call; no call takes more
+    than ``_CALL_POINTS`` points.
+    """
+
+    def __init__(self, sampler, radii: np.ndarray, centre: complex, start: int, tol: float):
+        self.sampler, self.centre, self.tol = sampler, centre, tol
+        self.radii = radii.reshape(-1)
+        self.samples = 0
+        self.n = 2 * start
+        self.sums = np.zeros(self.radii.size, dtype=complex)
+        self.prev = np.empty(self.radii.size, dtype=complex)
+        self.average = np.full(radii.shape, np.nan, dtype=complex)  # NaN while open
+        self.settled = np.zeros(radii.shape, dtype=bool)
+        rows = np.arange(self.radii.size)
+        for part, values in self._weighted(rows, np.arange(self.n)):
+            self.sums[part] += values[:, 0::2].sum(axis=1)
+            self.prev[part] = self.sums[part] / start
+            self.sums[part] += values[:, 1::2].sum(axis=1)
+        self._settle(rows)
+
+    def _weighted(self, rows: np.ndarray, k: np.ndarray):
+        """(rows, weighted sampler values) at the node indices k of the
+        n-node rule on those circles, one sampler call per chunk of rows."""
+        step = max(1, _CALL_POINTS // k.size)
+        for i in range(0, rows.size, step):
+            part = rows[i : i + step]
+            z, weights = _circle_rule(self.radii[part], self.centre, self.n, k)
+            values = _sampled(self.sampler, z)
+            self.samples += z.size
+            yield part, values if weights is None else weights * values
+
+    def _settle(self, rows: np.ndarray) -> None:
+        cur = self.sums[rows] / self.n
+        done = np.abs(cur - self.prev[rows]) <= self.tol + 1e-13 * np.abs(cur)
+        self.average.reshape(-1)[rows[done]] = cur[done]
+        self.settled.reshape(-1)[rows[done]] = True
+        self.prev[rows[~done]] = cur[~done]
+
+    def double(self, panels: int) -> bool:
+        """Double the rule on the open circles of the first ``panels`` rows
+        of the radii; False if none is open.  Past ``_THETA_MAX`` nodes it
+        raises NumericalFailureError with the first open row's estimates."""
+        open_ = ~self.settled[:panels]
+        if not open_.any():
+            return False
+        self.n *= 2
+        if self.n > _THETA_MAX:
+            first = np.flatnonzero(open_.any(axis=1))[0]
             raise NumericalFailureError(
-                "angular average did not stabilize within 4096 nodes", partial=prev
+                f"angular average did not stabilize within {_THETA_MAX} nodes",
+                partial=self.prev.reshape(self.settled.shape)[first, open_[first]],
             )
-        angles = 2.0 * math.pi * np.arange(1, n, 2) / n
-        z = radii[rows, None] * np.exp(1j * angles)
-        sums[rows] += _sampled(sampler, z).sum(axis=1)
+        rows = np.flatnonzero(open_)
+        for part, values in self._weighted(rows, np.arange(1, self.n, 2)):
+            self.sums[part] += values.sum(axis=1)
+        self._settle(rows)
+        return True
 
 
 def invariant_integral(
     sampler: Callable[[np.ndarray], np.ndarray],
     radial_hint: bool,
     tol: float = 1e-8,
+    circle: tuple[complex, int] | None = None,
 ) -> InvariantIntegralResult:
     """Integral of ``sampler`` against the invariant measure (1-|z|^2)^(-2) dA.
 
     In t = |z|^2 the mesh is dyadic toward t = 1 (edges 1 - 2^-j) with
-    15-point Gauss-Kronrod panels, stopping once the last panel falls
-    below tol/10.  A panel's value is its Kronrod sum K15; ``quad_error``
-    adds |K15 - G7|, with G7 the Gauss rule on the odd-indexed Kronrod
-    nodes, so the estimate costs no sample of its own.  ``radial_hint``
-    collapses the angular direction; the remaining boundary sliver is
-    power-law extrapolated into ``boundary_tail`` (reported, never
-    dropped).
+    15-point Gauss-Kronrod panels, summed in order until a panel past the
+    third falls below tol/10.  A panel's value is its Kronrod sum K15;
+    ``quad_error`` adds |K15 - G7|, with G7 the Gauss rule on the
+    odd-indexed Kronrod nodes, so the estimate costs no sample of its own.
+    ``radial_hint`` collapses the angular direction; the remaining boundary
+    sliver is power-law extrapolated into ``boundary_tail`` (reported,
+    never dropped).
 
     ``sampler`` maps an ndarray of points z to an ndarray of values of the
     same shape (or a scalar, broadcast over it), evaluating each point
-    independently of the others in the array.  It is called with batches:
-    with ``radial_hint`` once per panel with its 15 radii (the Kronrod
-    nodes, on the real axis); otherwise once per panel with 2 x
-    _THETA_START = 128 angular nodes on each of its 15 radii, which
-    settles every circle that resolves at the first doubling, then once
-    per further angular doubling with the new nodes of every radius still
-    open, at most 15 x 2048 points.
+    independently of the others in the array.  The whole mesh, 48 panels
+    of 15 radii, is sampled up front: with ``radial_hint`` in one call of
+    its 720 radii, on the real axis.  Otherwise each radius carries a
+    circle rule (``_CircleAverages``): ``circle`` = (centre, degree) maps
+    it around the centre and starts it at the smallest power of two above
+    the degree, so that an integrand that is a Laurent polynomial of that
+    degree in the mapped variable settles at once; without ``circle`` it
+    is the plain rule from 64 nodes.  The first sampling takes twice the
+    start nodes on every circle; each further doubling takes the new nodes
+    of the open circles of the panels before the first one that is settled
+    and ends the sum, a bound recomputed after each doubling.  So the
+    panels summed, the value and the failures are those of sampling panel
+    by panel, and no circle of a panel past the stop is doubled.  Calls
+    are chunked to at most 15 x 2048 points.
     """
     check_tol(tol)
     nodes, w15, w7 = gauss_kronrod_15()
+    edges = 2.0 ** -np.arange(_INVARIANT_PANELS + 1.0)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+    u = mids[:, None] + halves[:, None] * nodes
+    radii = np.sqrt(1.0 - u)
+
+    def panel(j: int, h: np.ndarray) -> tuple[complex, complex]:
+        """The (K15, G7) sums of panel j from its circle averages h."""
+        vals = h / u[j] ** 2
+        half = float(halves[j])
+        return half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
+
+    def stops(j: int, p15: complex) -> bool:
+        return j >= 3 and abs(p15) < tol / 10.0
+
+    if radial_hint:
+        h = _sampled(sampler, radii.astype(complex))
+        samples = h.size
+    else:
+        centre, degree = (0j, _THETA_START - 1) if circle is None else circle
+        circles = _CircleAverages(sampler, radii, complex(centre), 1 << int(degree).bit_length(), tol / 50.0)
+        h = circles.average
+
+        def in_use() -> int:
+            # the panels up to the first one that ends the sum; an open
+            # circle's average is NaN, so its panel ends nothing yet
+            return next(
+                (j + 1 for j in range(_INVARIANT_PANELS) if stops(j, panel(j, h[j])[0])), _INVARIANT_PANELS
+            )
+
+        while circles.double(in_use()):
+            pass
+        samples = circles.samples
 
     panels: list[complex] = []  # 15-point Kronrod panel values
     quad_error = 0.0
     panel_means: list[tuple[float, float]] = []  # (u midpoint, |mean h|)
-    u_edge = 1.0
     converged = False
     for j in range(_INVARIANT_PANELS):
-        u_hi, u_lo = 2.0**-j, 2.0 ** -(j + 1)
-        mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
-        u = mid + half * nodes
-        r = np.sqrt(1.0 - u)
-        if radial_hint:
-            h = _sampled(sampler, r.astype(complex))
-        else:
-            h = _theta_average(sampler, r, _THETA_START, tol / 50.0)
-        vals = h / u**2
-        p15 = half * complex(np.dot(w15, vals))
-        p7 = half * complex(np.dot(w7, vals[1::2]))
+        p15, p7 = panel(j, h[j])
         panels.append(p15)
         quad_error += abs(p15 - p7)
-        panel_means.append((mid, abs(p15) / (2.0 * half)))
-        u_edge = u_lo
-        if j >= 3 and abs(p15) < tol / 10.0:
+        panel_means.append((float(mids[j]), abs(p15) / (2.0 * float(halves[j]))))
+        if stops(j, p15):
             converged = True
             break
+    u_edge = float(edges[len(panels)])
 
     value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
 
@@ -456,5 +546,5 @@ def invariant_integral(
     h_edge = h1 * (u_edge / u1) ** exponent if h1 > 0.0 else 0.0
     boundary_tail = 3.0 * h_edge * u_edge / (1.0 + exponent)
     return InvariantIntegralResult(
-        value=value, quad_error=quad_error, boundary_tail=boundary_tail
+        value=value, quad_error=quad_error, boundary_tail=boundary_tail, panels=len(panels), samples=samples
     )

@@ -268,6 +268,13 @@ class _Atom:
     - ``berezin_value(alpha, beta, z, t)``: the same values, bitwise,
       without the error estimates (the invariant integral reads only
       these); the default drops them from ``berezin``;
+    - ``circle_rules(alpha, beta)``: the terms of the invariant integral
+      of the transform as (c, atom, centre, degree), one per nonzero term
+      (an atom gives itself with c = 1): on each circle |z| = r the atom's
+      transform, on the circle rule Moebius-mapped around ``centre``
+      (``berezin._CircleAverages``) and times its weight, is a Laurent
+      polynomial of that degree in the rule's variable; degree 0 is the
+      radial hint;
     - ``sampler_budget(alpha, beta, tol)``: a margin for the transform
       evaluations' error in the invariant integral (one default for all kinds);
     - ``boundary_weight(order)``: (integral of (1-|w|^2)^(-order) against
@@ -314,6 +321,11 @@ class _Atom:
 
     def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         return self.berezin(alpha, beta, z, t)[0]
+
+    def circle_rules(self, alpha: int, beta: int) -> tuple:
+        # a rotation-invariant kind's transform is conj(z)^alpha z^beta times
+        # a function of |z|: degree |alpha - beta| on every circle, unmapped
+        return ((1.0, self, 0j, abs(alpha - beta)),)
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         # the transform carries a (1-|z|^2)^2 factor that cancels the
@@ -528,6 +540,15 @@ class PointMass(_Atom):
         conditioning = (4 + alpha + beta) * math.sqrt(2.0) * gamma_2 * abs(z0) * np.sqrt(t) / np.abs(gap)
         return value, (1e-14 + _t_rounding(t) + conditioning) * np.abs(value)
 
+    def circle_rules(self, alpha: int, beta: int) -> tuple:
+        # mapped around z0, with rho = r |z0|, 1 - z conj(z0) is (1 - rho^2)/(1 + rho w)
+        # and 1 - conj(z) z0 is w (1 - rho^2)/(w + rho), so the transform times
+        # the rule's weight is a constant times
+        # (w + rho)^(1+beta) (1 + rho w)^(1+alpha) w^-(1+alpha): degree 1 + max(alpha, beta)
+        if self.z0 == 0:
+            return super().circle_rules(alpha, beta)
+        return ((1.0, self, self.z0, 1 + max(alpha, beta)),)
+
     def boundary_weight(self, order: int) -> tuple[float, float]:
         return (1.0 - abs(self.z0) ** 2) ** (-order), math.inf
 
@@ -679,6 +700,9 @@ class Combination:
 
     def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         return self._sum("berezin_value", (alpha, beta, z, t), np.zeros(z.size, dtype=complex))
+
+    def circle_rules(self, alpha: int, beta: int) -> tuple:
+        return tuple((c * k, *rule) for c, atom in self._nonzero() for k, *rule in atom.circle_rules(alpha, beta))
 
     def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
         return sum(abs(c) * atom.sampler_budget(alpha, beta, tol) for c, atom in self._nonzero())

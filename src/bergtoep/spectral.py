@@ -130,19 +130,27 @@ def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
 def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float]:
     """Trace as the invariant-measure integral of the Berezin transform.
 
-    The sampler reads the transform's values only (``berezin_value``).
-    The reported error adds the sampler budget of the symbol's kinds at
-    tol/10, a margin for the transform evaluations' own error.
+    The trace is linear in the symbol, so the integral is taken term by
+    term: the sum of c times the integral of each nonzero term's transform,
+    errors weighted by |c|, each on the circle rule the term states
+    (``circle_rules``; degree 0 is the radial hint).  The sampler reads the
+    transform's values only (``berezin_value``).  The reported error adds
+    the sampler budget of the symbol's kinds at tol/10, a margin for the
+    transform evaluations' own error.
     """
     ensure_trace_class(symbol)
-    radial = symbol.base.radial and symbol.alpha == symbol.beta
-
-    def sampler(z: np.ndarray) -> np.ndarray:
-        return _berezin_value_only(symbol, z)
-
-    result = invariant_integral(sampler, radial_hint=radial, tol=tol)
-    budget = symbol.base.sampler_budget(symbol.alpha, symbol.beta, tol / 10.0)
-    return result.value, result.est_error + budget
+    alpha, beta = symbol.alpha, symbol.beta
+    values, error = [], 0.0
+    for c, atom, centre, degree in symbol.base.circle_rules(alpha, beta):
+        term = SymbolSpec(alpha, beta, atom)
+        result = invariant_integral(
+            lambda z, term=term: _berezin_value_only(term, z), degree == 0, tol, circle=(centre, degree)
+        )
+        values.append(c * result.value)
+        error += abs(c) * result.est_error
+    # from the first term, not from 0j, which would drop the sign of a zero
+    value = sum(values[1:], values[0]) if values else 0j
+    return value, error + symbol.base.sampler_budget(alpha, beta, tol / 10.0)
 
 
 def trace_report(

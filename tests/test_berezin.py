@@ -14,6 +14,7 @@ import pytest
 from bergtoep.berezin import (
     _berezin_value_only,
     _berezin_values,
+    _circle_rule,
     _euler_hyp2f1,
     _radial_power_S,
     berezin_matrix,
@@ -609,13 +610,12 @@ def test_invariant_integral_panel_value_is_k15_and_estimate_k15_minus_g7():
     # h = u^24 makes the panel integrand u^22 in u = 1 - |z|^2: K15 is exact
     # on it, G7 is not, so the value is the integral over the panels to the
     # rounding and quad_error is the sum of the G7 errors, panel by panel
-    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 24)
-    r = invariant_integral(sampler, True, 1e-8)
-    u_edge = 2.0 ** -len(sampler.batches)
+    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 24, True, 1e-8)
+    u_edge = 2.0 ** -r.panels
     assert r.value.real == pytest.approx((1.0 - u_edge**23) / 23.0, rel=4e-16)
     x7, w7 = np.polynomial.legendre.leggauss(7)
     g7_error = 0.0
-    for j in range(len(sampler.batches)):
+    for j in range(r.panels):
         lo, hi = 2.0 ** -(j + 1), 2.0**-j
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         g7_error += abs((hi**23 - lo**23) / 23.0 - half * np.dot(w7, (mid + half * x7) ** 22))
@@ -635,49 +635,184 @@ class _RecordingSampler:
         return self.f(z)
 
 
-def test_invariant_integral_radial_hint_samples_one_panel_per_call():
+def test_invariant_integral_radial_hint_samples_the_mesh_in_one_call():
     sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2)
     r = invariant_integral(sampler, True, 1e-8)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
-    assert len(sampler.batches) >= 4
-    for z in sampler.batches:
-        assert isinstance(z, np.ndarray) and z.shape == (15,)
-        assert np.all(z.imag == 0.0)
+    (z,) = sampler.batches
+    assert isinstance(z, np.ndarray) and z.size == r.samples == 48 * 15
+    assert np.all(z.imag == 0.0)
+    assert 4 <= r.panels < 48
+
+
+# a trigonometric polynomial of degree below 64 averages exactly on the
+# first 64 nodes, so every circle settles at its first doubling
+def _degree_63(z):
+    w = 1 - abs(z) ** 2
+    return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
 
 
 def test_invariant_integral_angular_nodes_are_reused_across_doublings():
-    # a trigonometric polynomial of degree below 64 averages exactly on the
-    # first 64 nodes, so every radius stops at its first doubling
-    def f(z):
-        w = 1 - abs(z) ** 2
-        return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
-
-    sampler = _RecordingSampler(f)
+    sampler = _RecordingSampler(_degree_63)
     r = invariant_integral(sampler, False, 1e-8)
     oracle = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10), True, 1e-8)
     assert abs(r.value - oracle.value) <= 1e-13
-    points_per_radius: dict[float, int] = {}
     for z in sampler.batches:
-        assert isinstance(z, np.ndarray) and z.ndim == 2 and z.shape[0] <= 24
-        for row in z:
-            radius = float(np.round(abs(row[0]), 14))
-            points_per_radius[radius] = points_per_radius.get(radius, 0) + row.size
-    assert set(points_per_radius.values()) == {128}
+        assert isinstance(z, np.ndarray) and z.ndim == 2 and z.size <= 15 * 2048
+    # one row of 128 nodes per circle, none sampled again
+    assert sum(z.shape[0] for z in sampler.batches) == 720
+    assert {z.shape[1] for z in sampler.batches} == {128} and r.samples == 720 * 128
+    # circles that need doublings get only the new odd nodes e^(i pi k/m),
+    # k odd, m nodes a row
+    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.9j) ** -4)
+    r = invariant_integral(sampler, False, 1e-8)
+    assert len(sampler.batches) > 3 and r.samples == sum(z.size for z in sampler.batches)
+    for z in sampler.batches[3:]:
+        assert z.size <= 15 * 2048
+        k = np.angle(z) * z.shape[1] / math.pi
+        assert np.all(np.abs(k - np.round(k)) < 1e-6) and np.all(np.round(k) % 2 == 1)
 
 
-def test_invariant_integral_one_sampler_call_per_resolved_panel():
-    # every circle of this trigonometric polynomial resolves at the first
-    # check, so each panel costs one call of 128 nodes on each of its radii:
-    # as many calls as the radial route makes for its angular average
-    def f(z):
-        w = 1 - abs(z) ** 2
-        return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
-
-    sampler = _RecordingSampler(f)
-    invariant_integral(sampler, False, 1e-8)
+def test_invariant_integral_first_sampling_covers_the_mesh_in_bounded_calls():
+    # the plain rule's 128 first nodes on all 720 circles, 240 circles a
+    # call, on the radii the radial hint samples in its one call
+    sampler = _RecordingSampler(_degree_63)
+    r = invariant_integral(sampler, False, 1e-8)
     radial = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10))
-    invariant_integral(radial, True, 1e-8)
-    assert len(sampler.batches) == len(radial.batches) >= 4
-    for z, r in zip(sampler.batches, radial.batches):
-        assert z.shape[0] <= 24 and z.shape[1] == 128
-        assert np.array_equal(np.round(abs(z[:, 0]), 14), np.round(r.real, 14))
+    oracle = invariant_integral(radial, True, 1e-8)
+    assert [z.shape for z in sampler.batches] == [(240, 128)] * 3
+    assert r.samples == 720 * 128 and r.panels == oracle.panels
+    circles = np.concatenate([z[:, 0] for z in sampler.batches])
+    assert np.array_equal(circles, radial.batches[0].ravel())
+
+
+def _panel_by_panel(sampler, radial_hint, tol, centre=0j, start=64):
+    """The invariant integral sampled one panel at a time, each panel's
+    circles doubled to the end before the stop rule looks at it: the
+    whole-mesh sampling must give the same numbers to the bit."""
+    nodes, w15, w7 = gauss_kronrod_15()
+    panels, quad_error, means, converged = [], 0.0, [], False
+    for j in range(48):
+        u_hi, u_lo = 2.0**-j, 2.0 ** -(j + 1)
+        mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
+        u = mid + half * nodes
+        r = np.sqrt(1.0 - u)
+        if radial_hint:
+            h = np.broadcast_to(np.asarray(sampler(r.astype(complex)), dtype=complex), r.shape)
+        else:
+            h, n, rows = np.empty(15, dtype=complex), 2 * start, np.arange(15)
+
+            def weighted(rows, k):
+                z, weights = _circle_rule(r[rows], centre, n, k)
+                v = np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
+                return v if weights is None else weights * v
+
+            v = weighted(rows, np.arange(n))
+            sums = np.zeros(15, dtype=complex) + v[:, 0::2].sum(axis=1)
+            prev = sums / start
+            sums += v[:, 1::2].sum(axis=1)
+            while rows.size:
+                cur = sums[rows] / n
+                done = np.abs(cur - prev) <= tol / 50.0 + 1e-13 * np.abs(cur)
+                h[rows[done]] = cur[done]
+                rows, prev = rows[~done], cur[~done]
+                if rows.size:
+                    n *= 2
+                    if n > 4096:
+                        raise NumericalFailureError("reference did not settle")
+                    sums[rows] += weighted(rows, np.arange(1, n, 2)).sum(axis=1)
+        vals = h / u**2
+        p15, p7 = half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
+        panels.append(p15)
+        quad_error += abs(p15 - p7)
+        means.append((mid, abs(p15) / (2.0 * half)))
+        if j >= 3 and abs(p15) < tol / 10.0:
+            converged = True
+            break
+    (u2, h2), (u1, h1) = means[-2:]
+    exponent = math.log(h1 / h2) / math.log(u1 / u2) if h1 > 0.0 and h2 > 0.0 else 0.0
+    assert converged or exponent > -0.95
+    exponent = min(max(exponent, -0.95), 8.0)
+    h_edge = h1 * (u_lo / u1) ** exponent if h1 > 0.0 else 0.0
+    value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
+    return value, quad_error, 3.0 * h_edge * u_lo / (1.0 + exponent), len(panels)
+
+
+def _transform(alpha, beta, base):
+    symbol = SymbolSpec(alpha, beta, base)
+    return lambda z: _berezin_value_only(symbol, z)
+
+
+_Z0 = cmath.rect(0.9, 0.7)
+
+
+@pytest.mark.parametrize(
+    "sampler,radial_hint,centre,start,panels",
+    [
+        (lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, False, 0j, 64, None),
+        (_transform(1, 1, PointMass(0.6j)), False, 0j, 64, None),
+        (_transform(2, 1, PointMass(_Z0)), False, _Z0, 4, None),
+        (_transform(1, 1, RadialPower(s=4.0)), True, 0j, 64, None),
+        (_transform(0, 0, CircleRadialDerivative(0.6)), True, 0j, 64, None),
+        (lambda z: (1 - abs(z) ** 2) ** 24, True, 0j, 64, 4),
+        (lambda z: (1 - abs(z) ** 2) ** 24 * (1.0 + z**3), False, 0j, 64, 4),
+        (lambda z: (1 - abs(z) ** 2) ** 24 * (1.0 + z**3), False, 0.5j, 8, 4),
+    ],
+    ids=["kernel-norm", "point-plain", "point-mapped", "radial-power", "circle-deriv",
+         "stop-3-radial", "stop-3-plain", "stop-3-mapped"],
+)
+def test_whole_mesh_sampling_matches_the_panel_by_panel_loop_bitwise(sampler, radial_hint, centre, start, panels):
+    value, quad_error, tail, used = _panel_by_panel(sampler, radial_hint, 1e-8, centre, start)
+    circle = None if start == 64 else (centre, start - 1)
+    r = invariant_integral(sampler, radial_hint, 1e-8, circle=circle)
+    assert (r.value, r.quad_error, r.boundary_tail, r.panels) == (value, quad_error, tail, used)
+    assert str(r.value) == str(value)  # the signs of zeros too
+    assert panels is None or r.panels == panels
+    if panels is not None:
+        # what the sampler returns past the stop panel is never read
+        spoiled = invariant_integral(
+            lambda z: np.where(1 - abs(z) ** 2 < 1 / 32, np.nan, sampler(z)), radial_hint, 1e-8, circle=circle
+        )
+        assert spoiled == r
+
+
+def test_whole_mesh_sampling_fails_where_the_panel_by_panel_loop_fails():
+    # a circle average on the first panel that never settles
+    def sampler(z):
+        w = 1 - abs(z) ** 2
+        return w**2 * (1.0 + np.where(w > 0.5, np.cos(1000.5 * np.angle(z)), 0.0))
+
+    with pytest.raises(NumericalFailureError):
+        _panel_by_panel(sampler, False, 1e-8)
+    with pytest.raises(NumericalFailureError, match="did not stabilize within 4096 nodes") as info:
+        invariant_integral(sampler, False, 1e-8)
+    assert info.value.partial.shape == (15,)
+
+
+@pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 1), (2, 1), (3, 2), (0, 7), (16, 16), (20, 12)])
+@pytest.mark.parametrize("modulus", [0.4, 0.9, 0.99])
+def test_mapped_circle_rule_is_exact_from_its_start_nodes(alpha, beta, modulus):
+    # on the rule mapped around z0 the point mass's transform times the
+    # weight is a Laurent polynomial of degree 1 + max(alpha, beta), so the
+    # start rule, the smallest power of two above it, agrees with a
+    # 1024-node rule to the rounding of the sum and of the sampled values;
+    # one doubling fewer does not
+    z0 = cmath.rect(modulus, 0.7)
+    ((c, atom, centre, degree),) = PointMass(z0).circle_rules(alpha, beta)
+    assert (c, atom, centre, degree) == (1.0, PointMass(z0), z0, 1 + max(alpha, beta))
+    start = 1 << degree.bit_length()
+    symbol = SymbolSpec(alpha, beta, atom)
+    u = np.finfo(float).eps / 2.0
+
+    def average(n, r):
+        z, weights = _circle_rule(np.array([r]), centre, n, np.arange(n))
+        values, bars = _berezin_values(symbol, z)
+        terms = weights * values / n
+        return terms.sum(), np.abs(terms).max(), (weights * bars).sum() / n
+
+    for r in (0.5, 0.97, 0.999):
+        exact, biggest, exact_bar = average(1024, r)
+        got, _, bar = average(start, r)
+        bound = 4.0 * 1024 * u * biggest + exact_bar + bar
+        assert abs(got - exact) <= bound, r
+        assert abs(average(start // 2, r)[0] - exact) > bound, r
