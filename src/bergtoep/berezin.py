@@ -19,11 +19,11 @@ evaluates at every |z| < 1 with a derived error bound and no tolerance
 The invariant integral uses composite 15-node Gauss-Kronrod panels on a
 dyadic mesh graded toward t = |z|^2 = 1, each panel's error estimate read
 from the 7-node Gauss rule nested in its nodes.  The whole mesh is sampled
-up front: in one call on the radial hint, otherwise on a trapezoid rule
-per circle, Moebius-mapped around a centre (``_circle_rule``) so that a
-point mass's transform is a Laurent polynomial in the rule's variable,
-exact from a few nodes.  The unresolved boundary sliver is extrapolated
-and reported, never dropped.
+in one call, on a trapezoid rule per circle, Moebius-mapped around a
+centre (``_circle_rule``), with as many nodes as the integrand's stated
+degree in the rule's variable makes exact: one node for a radial
+integrand, a few for a point mass's transform.  The unresolved boundary
+sliver is extrapolated and reported, never dropped.
 """
 
 from __future__ import annotations
@@ -302,6 +302,8 @@ def weighted_berezin_radial(
     """
     check_tol(tol)
     m_exp, a_exp = f_spec
+    if not alpha > -1.0:  # NaN fails every comparison
+        raise ValueError("weighted Bergman space A^2_alpha needs alpha > -1")
     if not m_exp + alpha > -1.0:
         raise ValueError("weighted transform needs m_exp + alpha > -1")
     if not a_exp > -1.0:
@@ -324,13 +326,10 @@ def weighted_berezin_radial(
     return complex((alpha + 1.0) * (1.0 - t) ** (2 + alpha) * float(series[0]))
 
 
-# dyadic panels of the invariant integral; trapezoid nodes per circle before
-# the first angular doubling of the plain rule, and the most after doublings
+# dyadic panels of the invariant integral, and the largest circle-rule
+# degree: one sampler call of 720 circles stays within 720 x 64 points
 _INVARIANT_PANELS = 48
-_THETA_START = 64
-_THETA_MAX = 4096
-# the most points in one sampler call: the last doubling of 15 circles
-_CALL_POINTS = 15 * _THETA_MAX // 2
+_MAX_DEGREE = 63
 
 
 @dataclass(frozen=True)
@@ -347,11 +346,6 @@ class InvariantIntegralResult:
     @property
     def est_error(self) -> float:
         return self.quad_error + self.boundary_tail
-
-
-def _sampled(sampler, z: np.ndarray) -> np.ndarray:
-    """Sampler values at z as a complex array shaped like z."""
-    return np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
 
 
 def _circle_rule(radii: np.ndarray, centre: complex, n: int, k: np.ndarray):
@@ -376,80 +370,24 @@ def _circle_rule(radii: np.ndarray, centre: complex, n: int, k: np.ndarray):
     return z, (1.0 - rho * rho) / np.abs(1.0 + rho * w) ** 2
 
 
-class _CircleAverages:
-    """Trapezoid averages over the circles |z| = r of an array of radii,
-    on the rule ``_circle_rule`` mapped around ``centre``, each doubled
-    until it settles.
-
-    The first sampling takes 2 * start nodes per circle: its even half is
-    the start-node rule, and adding the odd half gives the first doubling,
-    so a circle that settles there is sampled once.  ``double`` samples only
-    the new odd nodes of the circles still open, and keeps the node sums of
-    the earlier ones.  Each circle's sums are reduced in a fixed order, even
-    half first, whatever else shares the sampler call; no call takes more
-    than ``_CALL_POINTS`` points.
-    """
-
-    def __init__(self, sampler, radii: np.ndarray, centre: complex, start: int, tol: float):
-        self.sampler, self.centre, self.tol = sampler, centre, tol
-        self.radii = radii.reshape(-1)
-        self.samples = 0
-        self.n = 2 * start
-        self.sums = np.zeros(self.radii.size, dtype=complex)
-        self.prev = np.empty(self.radii.size, dtype=complex)
-        self.average = np.full(radii.shape, np.nan, dtype=complex)  # NaN while open
-        self.settled = np.zeros(radii.shape, dtype=bool)
-        rows = np.arange(self.radii.size)
-        for part, values in self._weighted(rows, np.arange(self.n)):
-            self.sums[part] += values[:, 0::2].sum(axis=1)
-            self.prev[part] = self.sums[part] / start
-            self.sums[part] += values[:, 1::2].sum(axis=1)
-        self._settle(rows)
-
-    def _weighted(self, rows: np.ndarray, k: np.ndarray):
-        """(rows, weighted sampler values) at the node indices k of the
-        n-node rule on those circles, one sampler call per chunk of rows."""
-        step = max(1, _CALL_POINTS // k.size)
-        for i in range(0, rows.size, step):
-            part = rows[i : i + step]
-            z, weights = _circle_rule(self.radii[part], self.centre, self.n, k)
-            values = _sampled(self.sampler, z)
-            self.samples += z.size
-            yield part, values if weights is None else weights * values
-
-    def _settle(self, rows: np.ndarray) -> None:
-        cur = self.sums[rows] / self.n
-        done = np.abs(cur - self.prev[rows]) <= self.tol + 1e-13 * np.abs(cur)
-        self.average.reshape(-1)[rows[done]] = cur[done]
-        self.settled.reshape(-1)[rows[done]] = True
-        self.prev[rows[~done]] = cur[~done]
-
-    def double(self, panels: int) -> bool:
-        """Double the rule on the open circles of the first ``panels`` rows
-        of the radii; False if none is open.  Past ``_THETA_MAX`` nodes it
-        raises NumericalFailureError with the first open row's estimates."""
-        open_ = ~self.settled[:panels]
-        if not open_.any():
-            return False
-        self.n *= 2
-        if self.n > _THETA_MAX:
-            first = np.flatnonzero(open_.any(axis=1))[0]
-            raise NumericalFailureError(
-                f"angular average did not stabilize within {_THETA_MAX} nodes",
-                partial=self.prev.reshape(self.settled.shape)[first, open_[first]],
-            )
-        rows = np.flatnonzero(open_)
-        for part, values in self._weighted(rows, np.arange(1, self.n, 2)):
-            self.sums[part] += values.sum(axis=1)
-        self._settle(rows)
-        return True
+def _check_circle(circle) -> tuple[complex, int]:
+    """(centre, degree) of a circle rule, or ValueError: a finite centre
+    inside the disk and an integer degree in 0.._MAX_DEGREE."""
+    centre, degree = circle
+    centre = complex(centre)
+    if not abs(centre) < 1.0:  # NaN fails every comparison; inf is not below 1
+        raise ValueError(f"circle rule centre must lie inside the disk, got {centre}")
+    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
+        raise ValueError(f"circle rule degree must be an integer, got {degree!r}")
+    if not 0 <= degree <= _MAX_DEGREE:
+        raise ValueError(f"circle rule degree must lie in 0..{_MAX_DEGREE}, got {degree}")
+    return centre, int(degree)
 
 
 def invariant_integral(
     sampler: Callable[[np.ndarray], np.ndarray],
-    radial_hint: bool,
+    circle: tuple[complex, int],
     tol: float = 1e-8,
-    circle: tuple[complex, int] | None = None,
 ) -> InvariantIntegralResult:
     """Integral of ``sampler`` against the invariant measure (1-|z|^2)^(-2) dA.
 
@@ -458,72 +396,47 @@ def invariant_integral(
     third falls below tol/10.  A panel's value is its Kronrod sum K15;
     ``quad_error`` adds |K15 - G7|, with G7 the Gauss rule on the
     odd-indexed Kronrod nodes, so the estimate costs no sample of its own.
-    ``radial_hint`` collapses the angular direction; the remaining boundary
-    sliver is power-law extrapolated into ``boundary_tail`` (reported,
-    never dropped).
+    The remaining boundary sliver is power-law extrapolated into
+    ``boundary_tail`` (reported, never dropped).
 
     ``sampler`` maps an ndarray of points z to an ndarray of values of the
     same shape (or a scalar, broadcast over it), evaluating each point
-    independently of the others in the array.  The whole mesh, 48 panels
-    of 15 radii, is sampled up front: with ``radial_hint`` in one call of
-    its 720 radii, on the real axis.  Otherwise each radius carries a
-    circle rule (``_CircleAverages``): ``circle`` = (centre, degree) maps
-    it around the centre and starts it at the smallest power of two above
-    the degree, so that an integrand that is a Laurent polynomial of that
-    degree in the mapped variable settles at once; without ``circle`` it
-    is the plain rule from 64 nodes.  The first sampling takes twice the
-    start nodes on every circle; each further doubling takes the new nodes
-    of the open circles of the panels before the first one that is settled
-    and ends the sum, a bound recomputed after each doubling.  So the
-    panels summed, the value and the failures are those of sampling panel
-    by panel, and no circle of a panel past the stop is doubled.  Calls
-    are chunked to at most 15 x 2048 points.
+    independently of the others in the array.  Each of the mesh's 720
+    radii, 48 panels of 15, carries the trapezoid rule ``_circle_rule``
+    mapped around ``circle``'s centre with n nodes, n the smallest power
+    of two above its degree: exact when the integrand times the rule's
+    weight is a Laurent polynomial of that degree in the mapped variable.
+    Degree 0 about centre 0 is one node, z = r, on each circle.  The whole
+    mesh is one sampler call of 720 x n points; a centre outside the open
+    disk or a degree outside 0..63 raises ValueError before any sampling.
     """
     check_tol(tol)
+    centre, degree = _check_circle(circle)
     nodes, w15, w7 = gauss_kronrod_15()
     edges = 2.0 ** -np.arange(_INVARIANT_PANELS + 1.0)
     mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
     u = mids[:, None] + halves[:, None] * nodes
     radii = np.sqrt(1.0 - u)
 
-    def panel(j: int, h: np.ndarray) -> tuple[complex, complex]:
-        """The (K15, G7) sums of panel j from its circle averages h."""
-        vals = h / u[j] ** 2
-        half = float(halves[j])
-        return half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
-
-    def stops(j: int, p15: complex) -> bool:
-        return j >= 3 and abs(p15) < tol / 10.0
-
-    if radial_hint:
-        h = _sampled(sampler, radii.astype(complex))
-        samples = h.size
-    else:
-        centre, degree = (0j, _THETA_START - 1) if circle is None else circle
-        circles = _CircleAverages(sampler, radii, complex(centre), 1 << int(degree).bit_length(), tol / 50.0)
-        h = circles.average
-
-        def in_use() -> int:
-            # the panels up to the first one that ends the sum; an open
-            # circle's average is NaN, so its panel ends nothing yet
-            return next(
-                (j + 1 for j in range(_INVARIANT_PANELS) if stops(j, panel(j, h[j])[0])), _INVARIANT_PANELS
-            )
-
-        while circles.double(in_use()):
-            pass
-        samples = circles.samples
+    n = 1 << degree.bit_length()
+    z, weights = _circle_rule(radii.reshape(-1), centre, n, np.arange(n))
+    values = np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
+    if weights is not None:
+        values = weights * values
+    h = (values.sum(axis=1) / n).reshape(radii.shape)
 
     panels: list[complex] = []  # 15-point Kronrod panel values
     quad_error = 0.0
     panel_means: list[tuple[float, float]] = []  # (u midpoint, |mean h|)
     converged = False
     for j in range(_INVARIANT_PANELS):
-        p15, p7 = panel(j, h[j])
+        vals = h[j] / u[j] ** 2
+        half = float(halves[j])
+        p15, p7 = half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
         panels.append(p15)
         quad_error += abs(p15 - p7)
-        panel_means.append((float(mids[j]), abs(p15) / (2.0 * float(halves[j]))))
-        if stops(j, p15):
+        panel_means.append((float(mids[j]), abs(p15) / (2.0 * half)))
+        if j >= 3 and abs(p15) < tol / 10.0:
             converged = True
             break
     u_edge = float(edges[len(panels)])
@@ -546,5 +459,5 @@ def invariant_integral(
     h_edge = h1 * (u_edge / u1) ** exponent if h1 > 0.0 else 0.0
     boundary_tail = 3.0 * h_edge * u_edge / (1.0 + exponent)
     return InvariantIntegralResult(
-        value=value, quad_error=quad_error, boundary_tail=boundary_tail, panels=len(panels), samples=samples
+        value=value, quad_error=quad_error, boundary_tail=boundary_tail, panels=len(panels), samples=z.size
     )

@@ -272,9 +272,10 @@ class _Atom:
       of the transform as (c, atom, centre, degree), one per nonzero term
       (an atom gives itself with c = 1): on each circle |z| = r the atom's
       transform, on the circle rule Moebius-mapped around ``centre``
-      (``berezin._CircleAverages``) and times its weight, is a Laurent
-      polynomial of that degree in the rule's variable; degree 0 is the
-      radial hint;
+      (``berezin._circle_rule``) and times its weight, is a Laurent
+      polynomial of that degree in the rule's variable, so the rule is
+      exact from the smallest power of two above it; degree 0 about
+      centre 0 is one node per circle;
     - ``sampler_budget(alpha, beta, tol)``: a margin for the transform
       evaluations' error in the invariant integral (one default for all kinds);
     - ``boundary_weight(order)``: (integral of (1-|w|^2)^(-order) against

@@ -133,19 +133,18 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
     The trace is linear in the symbol, so the integral is taken term by
     term: the sum of c times the integral of each nonzero term's transform,
     errors weighted by |c|, each on the circle rule the term states
-    (``circle_rules``; degree 0 is the radial hint).  The sampler reads the
-    transform's values only (``berezin_value``).  The reported error adds
-    the sampler budget of the symbol's kinds at tol/10, a margin for the
-    transform evaluations' own error.
+    (``circle_rules``), which is exact for it: one node per circle for a
+    radial term at alpha = beta.  The sampler reads the transform's values
+    only (``berezin_value``).  The reported error adds the sampler budget
+    of the symbol's kinds at tol/10, a margin for the transform
+    evaluations' own error.
     """
     ensure_trace_class(symbol)
     alpha, beta = symbol.alpha, symbol.beta
     values, error = [], 0.0
     for c, atom, centre, degree in symbol.base.circle_rules(alpha, beta):
         term = SymbolSpec(alpha, beta, atom)
-        result = invariant_integral(
-            lambda z, term=term: _berezin_value_only(term, z), degree == 0, tol, circle=(centre, degree)
-        )
+        result = invariant_integral(lambda z, term=term: _berezin_value_only(term, z), (centre, degree), tol)
         values.append(c * result.value)
         error += abs(c) * result.est_error
     # from the first term, not from 0j, which would drop the sign of a zero

@@ -457,31 +457,35 @@ def test_weighted_transform_identity_with_diagonal_symbol():
 
 
 def test_weighted_transform_rejects_non_integrable_weights():
-    with pytest.raises(ValueError):
-        weighted_berezin_radial((-1.5, 0.0), 0, 0.3)
+    # A^2_alpha needs alpha > -1, and the weight (1-|w|^2)^m_exp needs
+    # m_exp + alpha > -1
+    for f_spec, alpha in [((-1.5, 0.0), 0), ((3.0, 0.0), -1), ((3.0, 0.0), -2), ((3.0, 0.0), math.nan)]:
+        with pytest.raises(ValueError):
+            weighted_berezin_radial(f_spec, alpha, 0.3)
 
 
 def test_invariant_integral_radial_polynomials():
-    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 2, True, 1e-8)
+    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 2, (0j, 0), 1e-8)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
     assert r.boundary_tail > 0.0
-    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 3, True, 1e-8)
+    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 3, (0j, 0), 1e-8)
     assert r.value.real == pytest.approx(0.5, abs=1e-8)
 
 
 def test_invariant_integral_non_radial_kernel_norm():
     sampler = lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4
-    r = invariant_integral(sampler, False, 1e-8)
+    # the point mass's transform at (0, 0): degree 1 on the rule mapped around 0.5
+    r = invariant_integral(sampler, (0.5, 1), 1e-8)
     assert r.value.real == pytest.approx(16.0 / 9.0, abs=1e-7)
 
 
 def test_invariant_integral_linearity():
     f = lambda z: (1 - abs(z) ** 2) ** 2
     g = lambda z: (1 - abs(z) ** 2) ** 3
-    combined = invariant_integral(lambda z: 2.0 * f(z) + 3.0 * g(z), True, 1e-9)
+    combined = invariant_integral(lambda z: 2.0 * f(z) + 3.0 * g(z), (0j, 0), 1e-9)
     separate = (
-        2.0 * invariant_integral(f, True, 1e-9).value
-        + 3.0 * invariant_integral(g, True, 1e-9).value
+        2.0 * invariant_integral(f, (0j, 0), 1e-9).value
+        + 3.0 * invariant_integral(g, (0j, 0), 1e-9).value
     )
     assert combined.value == pytest.approx(separate, abs=1e-8)
 
@@ -513,7 +517,7 @@ def test_tolerances_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         weighted_berezin_radial((0.0, 0.0), 0, 0.3, tol=tol)
     with pytest.raises(ValueError, match="finite and positive"):
-        invariant_integral(lambda z: 1.0, True, tol=tol)
+        invariant_integral(lambda z: 1.0, (0j, 0), tol=tol)
 
 
 _BUFFER_BYTES = 16.0 * 4096 * 4096
@@ -610,7 +614,7 @@ def test_invariant_integral_panel_value_is_k15_and_estimate_k15_minus_g7():
     # h = u^24 makes the panel integrand u^22 in u = 1 - |z|^2: K15 is exact
     # on it, G7 is not, so the value is the integral over the panels to the
     # rounding and quad_error is the sum of the G7 errors, panel by panel
-    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 24, True, 1e-8)
+    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 24, (0j, 0), 1e-8)
     u_edge = 2.0 ** -r.panels
     assert r.value.real == pytest.approx((1.0 - u_edge**23) / 23.0, rel=4e-16)
     x7, w7 = np.polynomial.legendre.leggauss(7)
@@ -635,92 +639,82 @@ class _RecordingSampler:
         return self.f(z)
 
 
+def _mesh_radii():
+    """The 720 radii of the invariant integral's 48 Kronrod panels, panel
+    by panel."""
+    nodes = gauss_kronrod_15()[0]
+    edges = 2.0 ** -np.arange(49.0)
+    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
+    return np.sqrt(1.0 - (mids[:, None] + halves[:, None] * nodes)).ravel()
+
+
 def test_invariant_integral_radial_hint_samples_the_mesh_in_one_call():
+    # degree 0 about centre 0: one node per circle, z = r on the real axis
     sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2)
-    r = invariant_integral(sampler, True, 1e-8)
+    r = invariant_integral(sampler, (0j, 0), 1e-8)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
     (z,) = sampler.batches
-    assert isinstance(z, np.ndarray) and z.size == r.samples == 48 * 15
-    assert np.all(z.imag == 0.0)
+    assert isinstance(z, np.ndarray) and z.shape == (720, 1) and r.samples == 720
+    assert z.ravel().tobytes() == _mesh_radii().astype(complex).tobytes()
     assert 4 <= r.panels < 48
 
 
-# a trigonometric polynomial of degree below 64 averages exactly on the
-# first 64 nodes, so every circle settles at its first doubling
+# a trigonometric polynomial of degree 63 averages exactly on 64 nodes
 def _degree_63(z):
     w = 1 - abs(z) ** 2
     return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
 
 
-def test_invariant_integral_angular_nodes_are_reused_across_doublings():
+def test_invariant_integral_samples_each_circle_once_at_its_degree():
+    # the plain rule's 64 nodes on all 720 circles in one call, the first
+    # node of each on the radii that degree 0 samples
     sampler = _RecordingSampler(_degree_63)
-    r = invariant_integral(sampler, False, 1e-8)
-    oracle = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10), True, 1e-8)
-    assert abs(r.value - oracle.value) <= 1e-13
-    for z in sampler.batches:
-        assert isinstance(z, np.ndarray) and z.ndim == 2 and z.size <= 15 * 2048
-    # one row of 128 nodes per circle, none sampled again
-    assert sum(z.shape[0] for z in sampler.batches) == 720
-    assert {z.shape[1] for z in sampler.batches} == {128} and r.samples == 720 * 128
-    # circles that need doublings get only the new odd nodes e^(i pi k/m),
-    # k odd, m nodes a row
-    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.9j) ** -4)
-    r = invariant_integral(sampler, False, 1e-8)
-    assert len(sampler.batches) > 3 and r.samples == sum(z.size for z in sampler.batches)
-    for z in sampler.batches[3:]:
-        assert z.size <= 15 * 2048
-        k = np.angle(z) * z.shape[1] / math.pi
-        assert np.all(np.abs(k - np.round(k)) < 1e-6) and np.all(np.round(k) % 2 == 1)
-
-
-def test_invariant_integral_first_sampling_covers_the_mesh_in_bounded_calls():
-    # the plain rule's 128 first nodes on all 720 circles, 240 circles a
-    # call, on the radii the radial hint samples in its one call
-    sampler = _RecordingSampler(_degree_63)
-    r = invariant_integral(sampler, False, 1e-8)
+    r = invariant_integral(sampler, (0j, 63), 1e-8)
     radial = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10))
-    oracle = invariant_integral(radial, True, 1e-8)
-    assert [z.shape for z in sampler.batches] == [(240, 128)] * 3
-    assert r.samples == 720 * 128 and r.panels == oracle.panels
-    circles = np.concatenate([z[:, 0] for z in sampler.batches])
-    assert np.array_equal(circles, radial.batches[0].ravel())
+    oracle = invariant_integral(radial, (0j, 0), 1e-8)
+    (z,) = sampler.batches
+    assert z.shape == (720, 64) and r.samples == 720 * 64
+    assert np.array_equal(z[:, 0], radial.batches[0].ravel())
+    assert r.panels == oracle.panels and abs(r.value - oracle.value) <= 1e-13
 
 
-def _panel_by_panel(sampler, radial_hint, tol, centre=0j, start=64):
-    """The invariant integral sampled one panel at a time, each panel's
-    circles doubled to the end before the stop rule looks at it: the
+@pytest.mark.parametrize(
+    "circle",
+    [(2.0, 1), (1.0, 0), (-1j, 1), (complex(math.nan, 0.0), 1), (complex(math.inf, 0.0), 0),
+     (0j, -3), (0j, 2.5), (0j, True), (0j, 64), (0.5, 1.0)],
+)
+def test_invariant_integral_rejects_a_bad_circle_rule_before_sampling(circle):
+    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2)
+    with pytest.raises(ValueError, match="circle rule"):
+        invariant_integral(sampler, circle, 1e-8)
+    assert sampler.batches == []
+
+
+def test_invariant_integral_fails_on_a_divergent_boundary():
+    # h = 1 - |z|^2 makes every panel ln 2: no panel stops the sum and the
+    # last panels' means grow like 1/u.  The sampled 1 - |z|^2 keeps only a
+    # few digits of u on the last panels, where u nears 2^-48
+    with pytest.raises(NumericalFailureError, match="panel budget exhausted") as info:
+        invariant_integral(lambda z: 1 - abs(z) ** 2, (0j, 0), 1e-8)
+    assert info.value.partial == pytest.approx(48 * math.log(2.0), rel=1e-3)
+    assert info.value.achieved > 0.0
+
+
+def _panel_by_panel(sampler, circle, tol):
+    """The invariant integral sampled one panel at a time, each on the
+    stated circle rule, the stop rule read as each panel is summed: the
     whole-mesh sampling must give the same numbers to the bit."""
     nodes, w15, w7 = gauss_kronrod_15()
+    centre, degree = circle
+    n = 1 << degree.bit_length()
     panels, quad_error, means, converged = [], 0.0, [], False
     for j in range(48):
         u_hi, u_lo = 2.0**-j, 2.0 ** -(j + 1)
         mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
         u = mid + half * nodes
-        r = np.sqrt(1.0 - u)
-        if radial_hint:
-            h = np.broadcast_to(np.asarray(sampler(r.astype(complex)), dtype=complex), r.shape)
-        else:
-            h, n, rows = np.empty(15, dtype=complex), 2 * start, np.arange(15)
-
-            def weighted(rows, k):
-                z, weights = _circle_rule(r[rows], centre, n, k)
-                v = np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
-                return v if weights is None else weights * v
-
-            v = weighted(rows, np.arange(n))
-            sums = np.zeros(15, dtype=complex) + v[:, 0::2].sum(axis=1)
-            prev = sums / start
-            sums += v[:, 1::2].sum(axis=1)
-            while rows.size:
-                cur = sums[rows] / n
-                done = np.abs(cur - prev) <= tol / 50.0 + 1e-13 * np.abs(cur)
-                h[rows[done]] = cur[done]
-                rows, prev = rows[~done], cur[~done]
-                if rows.size:
-                    n *= 2
-                    if n > 4096:
-                        raise NumericalFailureError("reference did not settle")
-                    sums[rows] += weighted(rows, np.arange(1, n, 2)).sum(axis=1)
+        z, weights = _circle_rule(np.sqrt(1.0 - u), centre, n, np.arange(n))
+        v = np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
+        h = (v if weights is None else weights * v).sum(axis=1) / n
         vals = h / u**2
         p15, p7 = half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
         panels.append(p15)
@@ -747,46 +741,31 @@ _Z0 = cmath.rect(0.9, 0.7)
 
 
 @pytest.mark.parametrize(
-    "sampler,radial_hint,centre,start,panels",
+    "sampler,circle,panels",
     [
-        (lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, False, 0j, 64, None),
-        (_transform(1, 1, PointMass(0.6j)), False, 0j, 64, None),
-        (_transform(2, 1, PointMass(_Z0)), False, _Z0, 4, None),
-        (_transform(1, 1, RadialPower(s=4.0)), True, 0j, 64, None),
-        (_transform(0, 0, CircleRadialDerivative(0.6)), True, 0j, 64, None),
-        (lambda z: (1 - abs(z) ** 2) ** 24, True, 0j, 64, 4),
-        (lambda z: (1 - abs(z) ** 2) ** 24 * (1.0 + z**3), False, 0j, 64, 4),
-        (lambda z: (1 - abs(z) ** 2) ** 24 * (1.0 + z**3), False, 0.5j, 8, 4),
+        (lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, (0.5, 1), None),
+        (_transform(2, 1, PointMass(_Z0)), (_Z0, 3), None),
+        (_transform(1, 1, RadialPower(s=4.0)), (0j, 0), None),
+        (_transform(0, 0, CircleRadialDerivative(0.6)), (0j, 0), None),
+        (lambda z: (1 - abs(z) ** 2) ** 24, (0j, 0), 4),
+        (lambda z: (1 - abs(z) ** 2) ** 24 * (1.0 + z**3), (0j, 3), 4),
+        (lambda z: (1 - abs(z) ** 2) ** 24 * abs(1 - z.conjugate() * 0.5j) ** -4, (0.5j, 1), 4),
     ],
-    ids=["kernel-norm", "point-plain", "point-mapped", "radial-power", "circle-deriv",
-         "stop-3-radial", "stop-3-plain", "stop-3-mapped"],
+    ids=["kernel-norm", "point-mapped", "radial-power", "circle-deriv", "stop-3-radial", "stop-3-plain",
+         "stop-3-mapped"],
 )
-def test_whole_mesh_sampling_matches_the_panel_by_panel_loop_bitwise(sampler, radial_hint, centre, start, panels):
-    value, quad_error, tail, used = _panel_by_panel(sampler, radial_hint, 1e-8, centre, start)
-    circle = None if start == 64 else (centre, start - 1)
-    r = invariant_integral(sampler, radial_hint, 1e-8, circle=circle)
+def test_whole_mesh_sampling_matches_the_panel_by_panel_loop_bitwise(sampler, circle, panels):
+    value, quad_error, tail, used = _panel_by_panel(sampler, circle, 1e-8)
+    r = invariant_integral(sampler, circle, 1e-8)
     assert (r.value, r.quad_error, r.boundary_tail, r.panels) == (value, quad_error, tail, used)
     assert str(r.value) == str(value)  # the signs of zeros too
     assert panels is None or r.panels == panels
     if panels is not None:
         # what the sampler returns past the stop panel is never read
         spoiled = invariant_integral(
-            lambda z: np.where(1 - abs(z) ** 2 < 1 / 32, np.nan, sampler(z)), radial_hint, 1e-8, circle=circle
+            lambda z: np.where(1 - abs(z) ** 2 < 1 / 32, np.nan, sampler(z)), circle, 1e-8
         )
         assert spoiled == r
-
-
-def test_whole_mesh_sampling_fails_where_the_panel_by_panel_loop_fails():
-    # a circle average on the first panel that never settles
-    def sampler(z):
-        w = 1 - abs(z) ** 2
-        return w**2 * (1.0 + np.where(w > 0.5, np.cos(1000.5 * np.angle(z)), 0.0))
-
-    with pytest.raises(NumericalFailureError):
-        _panel_by_panel(sampler, False, 1e-8)
-    with pytest.raises(NumericalFailureError, match="did not stabilize within 4096 nodes") as info:
-        invariant_integral(sampler, False, 1e-8)
-    assert info.value.partial.shape == (15,)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 1), (2, 1), (3, 2), (0, 7), (16, 16), (20, 12)])
@@ -794,9 +773,9 @@ def test_whole_mesh_sampling_fails_where_the_panel_by_panel_loop_fails():
 def test_mapped_circle_rule_is_exact_from_its_start_nodes(alpha, beta, modulus):
     # on the rule mapped around z0 the point mass's transform times the
     # weight is a Laurent polynomial of degree 1 + max(alpha, beta), so the
-    # start rule, the smallest power of two above it, agrees with a
-    # 1024-node rule to the rounding of the sum and of the sampled values;
-    # one doubling fewer does not
+    # rule invariant_integral samples, the smallest power of two above it,
+    # agrees with a 1024-node rule to the rounding of the sum and of the
+    # sampled values; half as many nodes do not
     z0 = cmath.rect(modulus, 0.7)
     ((c, atom, centre, degree),) = PointMass(z0).circle_rules(alpha, beta)
     assert (c, atom, centre, degree) == (1.0, PointMass(z0), z0, 1 + max(alpha, beta))

@@ -390,6 +390,18 @@ def test_trace_holds_the_dimension_cap(capsys):
     assert json.loads(err)["error"] == {"type": "config", "message": "truncation dimension capped at 4096"}
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,z0,dim", [(2, 2, 0.9999, "256"), (3, 2, 0.98, "4096")], ids=["0.9999-2-2", "0.98-3-2-dim4096"]
+)
+def test_trace_of_a_point_mass_near_the_circle_agrees(capsys, alpha, beta, z0, dim):
+    # the Berezin route's circle rule, mapped around z0, is exact at its
+    # stated degree, so rounding noise near the peak fails nothing
+    symbol = json.dumps({"alpha": alpha, "beta": beta, "measure": {"kind": "point_mass", "re": z0, "im": 0}})
+    code, out, _ = run(capsys, "trace", "--symbol", symbol, "--dim", dim, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+
+
 def test_parse_complex_literals():
     assert parse_complex("0.3") == 0.3
     assert parse_complex("0.3+0.1i") == 0.3 + 0.1j

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -58,3 +59,17 @@ def test_every_benchmark_import_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_arguments_the_tracer_hooks_read_exist():
+    # the tracer's hooks read these arguments by position, or by keyword when
+    # passed so: the sampler whose points they count, the dimension they
+    # size bytes by, the matrix whose cube they sum.  A renamed or moved
+    # parameter would make a hook count the wrong argument or fail
+    for module, name, index, parameter in [
+        ("berezin", "invariant_integral", 0, "sampler"),
+        ("operators", "assemble", 1, "dim"),
+        ("spectral", "jacobi_svd", 0, "matrix"),
+    ]:
+        func = getattr(importlib.import_module(f"bergtoep.{module}"), name)
+        assert list(inspect.signature(func).parameters)[index] == parameter, f"{module}.{name}"
