@@ -38,6 +38,7 @@ from .bergman import BOUNDARY_MARGIN
 from .errors import BoundaryError, NumericalFailureError
 from .numutil import (
     beta_integral,
+    check_integer,
     check_tol,
     falling_factorial,
     gauss_kronrod_15,
@@ -224,30 +225,16 @@ def _prefactor(alpha: int, beta: int, z: np.ndarray, t: np.ndarray) -> np.ndarra
     return sign * fa * fb * monomial * (1.0 - t) ** 2
 
 
-def _flat_points(z):
-    """The array ``z`` as complex, its flat view and t = |z|^2 there,
-    rejecting points on or outside the circle."""
+def _berezin_values(symbol, z):
+    """Analytic-route transform of the ``SymbolSpec`` at every point of the
+    array ``z``, unfenced; returns (values, est_errors) shaped like ``z``."""
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     t = (flat * flat.conjugate()).real
     if np.any(t >= 1.0):
         raise BoundaryError("Berezin transform is defined inside the disk")
-    return z, flat, t
-
-
-def _berezin_values(symbol, z):
-    """Analytic-route transform of the ``SymbolSpec`` at every point of the
-    array ``z``, unfenced; returns (values, est_errors) shaped like ``z``."""
-    z, flat, t = _flat_points(z)
     value, err = symbol.base.berezin(symbol.alpha, symbol.beta, flat, t)
     return value.reshape(z.shape), err.reshape(z.shape)
-
-
-def _berezin_value_only(symbol, z):
-    """The values of ``_berezin_values``, bitwise, without their error
-    estimates."""
-    z, flat, t = _flat_points(z)
-    return symbol.base.berezin_value(symbol.alpha, symbol.beta, flat, t).reshape(z.shape)
 
 
 def _check_fence(z: complex) -> None:
@@ -334,8 +321,10 @@ _MAX_DEGREE = 63
 
 @dataclass(frozen=True)
 class InvariantIntegralResult:
-    """Integral against (1-|z|^2)^(-2) dA with split error accounting, the
-    number of panels summed and of points handed to the sampler."""
+    """Integral against (1-|z|^2)^(-2) dA with split error accounting (the
+    quadrature's, which includes the samples' own error bars, and the
+    boundary sliver's), the number of panels summed and of points handed
+    to the sampler."""
 
     value: complex
     quad_error: float
@@ -377,15 +366,14 @@ def _check_circle(circle) -> tuple[complex, int]:
     centre = complex(centre)
     if not abs(centre) < 1.0:  # NaN fails every comparison; inf is not below 1
         raise ValueError(f"circle rule centre must lie inside the disk, got {centre}")
-    if isinstance(degree, bool) or not isinstance(degree, (int, np.integer)):
-        raise ValueError(f"circle rule degree must be an integer, got {degree!r}")
+    check_integer("circle rule degree", degree)
     if not 0 <= degree <= _MAX_DEGREE:
         raise ValueError(f"circle rule degree must lie in 0..{_MAX_DEGREE}, got {degree}")
     return centre, int(degree)
 
 
 def invariant_integral(
-    sampler: Callable[[np.ndarray], np.ndarray],
+    sampler: Callable[[np.ndarray], tuple],
     circle: tuple[complex, int],
     tol: float = 1e-8,
 ) -> InvariantIntegralResult:
@@ -395,12 +383,14 @@ def invariant_integral(
     15-point Gauss-Kronrod panels, summed in order until a panel past the
     third falls below tol/10.  A panel's value is its Kronrod sum K15;
     ``quad_error`` adds |K15 - G7|, with G7 the Gauss rule on the
-    odd-indexed Kronrod nodes, so the estimate costs no sample of its own.
-    The remaining boundary sliver is power-law extrapolated into
-    ``boundary_tail`` (reported, never dropped).
+    odd-indexed Kronrod nodes, so the estimate costs no sample of its own,
+    and the samples' error bars summed through the same positive weights
+    as their values.  The remaining boundary sliver is power-law
+    extrapolated into ``boundary_tail`` (reported, never dropped).
 
-    ``sampler`` maps an ndarray of points z to an ndarray of values of the
-    same shape (or a scalar, broadcast over it), evaluating each point
+    ``sampler`` maps an ndarray of points z to a pair (values, error
+    estimates), each an ndarray of the same shape as z or a scalar
+    broadcast over it, the estimates nonnegative, evaluating each point
     independently of the others in the array.  Each of the mesh's 720
     radii, 48 panels of 15, carries the trapezoid rule ``_circle_rule``
     mapped around ``circle``'s centre with n nodes, n the smallest power
@@ -420,10 +410,15 @@ def invariant_integral(
 
     n = 1 << degree.bit_length()
     z, weights = _circle_rule(radii.reshape(-1), centre, n, np.arange(n))
-    values = np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
+    values, errors = sampler(z)
+    values = np.broadcast_to(np.asarray(values, dtype=complex), z.shape)
+    errors = np.broadcast_to(np.asarray(errors, dtype=float), z.shape)
     if weights is not None:
-        values = weights * values
+        values, errors = weights * values, weights * errors
     h = (values.sum(axis=1) / n).reshape(radii.shape)
+    # the samples' own error bars through the same positive circle and K15
+    # weights as the values, every panel in one expression
+    sample_errors = halves * (((errors.sum(axis=1) / n).reshape(radii.shape) / u**2) @ w15)
 
     panels: list[complex] = []  # 15-point Kronrod panel values
     quad_error = 0.0
@@ -440,6 +435,7 @@ def invariant_integral(
             converged = True
             break
     u_edge = float(edges[len(panels)])
+    quad_error += float(sample_errors[: len(panels)].sum())
 
     value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
 

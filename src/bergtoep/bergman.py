@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import BoundaryError
-from .numutil import falling_factorial, int_factorial
+from .numutil import check_integer, falling_factorial, int_factorial
 
 __all__ = [
     "basis_deriv_coeff",
@@ -38,6 +38,7 @@ def basis_deriv_coeff(m: int, alpha: int) -> float:
     Equals sqrt(m+1) * m!/(m-alpha)!, and 0 when the derivative order
     exceeds the degree.
     """
+    check_integer("basis index and derivative order", m, alpha)
     if m < 0 or alpha < 0:
         raise ValueError("basis index and derivative order must be nonnegative")
     if alpha > m:
@@ -52,6 +53,7 @@ def kernel_deriv_eval(z: complex, w: complex, alpha: int) -> complex:
     """
     z = complex(z)
     w = complex(w)
+    check_integer("derivative order", alpha)
     if alpha < 0:
         raise ValueError("derivative order must be nonnegative")
     if not (abs(z) < 1.0 and abs(w) < 1.0):
@@ -101,6 +103,7 @@ def d_alpha_beta_terms(alpha: int, beta: int) -> list[tuple[float, int, int, int
     (alpha+1)! conj(w)^alpha (1 - |w|^2)^(-(2+alpha)); the conjugate
     derivatives then distribute over that product.
     """
+    check_integer("derivative order", alpha, beta)
     if alpha < 0 or beta < 0:
         raise ValueError("derivative orders must be nonnegative")
     lead = int_factorial(alpha + 1)

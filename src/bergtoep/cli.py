@@ -13,7 +13,8 @@ with measure kinds
                                           "measure": {...}}, ...]}
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure or
-overflow, 3 trace-class gate failure (the divergence exponent is in the report).
+overflow (the partial value and achieved accuracy, or null, are in the report),
+3 trace-class gate failure (the divergence exponent is in the report).
 Output is deterministic: identical argv yields byte-identical stdout.
 """
 
@@ -456,6 +457,8 @@ _HANDLERS = {
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
+    # extra values: a complex as {"re", "im"}, a missing or non-finite one as null
+    extra = {k: None if v is None or not np.isfinite(v) else _jsonable(v) for k, v in extra.items()}
     payload = {"error": {"type": kind, "message": message, **extra}}
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
@@ -475,7 +478,7 @@ def run_command(argv: list[str]) -> int:
         )
         return 3
     except (NumericalFailureError, OverflowError) as exc:
-        _emit_error("numerical-failure", str(exc))
+        _emit_error("numerical-failure", str(exc), **{k: getattr(exc, k, None) for k in ("partial", "achieved")})
         return 2
     except (UnsupportedSymbolError, BoundaryError, ValueError) as exc:
         _emit_error("config", str(exc))

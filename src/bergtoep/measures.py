@@ -25,7 +25,7 @@ import numpy as np
 from .berezin import _euler_hyp2f1, _ipow, _prefactor, _radial_power_S
 from .bergman import basis_deriv_coeff
 from .errors import UnsupportedSymbolError
-from .numutil import beta_integral, beta_rounding, check_integer, int_factorial
+from .numutil import beta_integral, beta_rounding, check_integer
 
 __all__ = [
     "RadialPower",
@@ -264,10 +264,8 @@ class _Atom:
       the derivative kernel, the whole diagonal: the unit every entry
       shares (``_unit``) times the tail from n = 0, padded;
     - ``berezin(alpha, beta, z, t)``: (values, error estimates) of the
-      transform at the 1-d array z, with t = |z|^2;
-    - ``berezin_value(alpha, beta, z, t)``: the same values, bitwise,
-      without the error estimates (the invariant integral reads only
-      these); the default drops them from ``berezin``;
+      transform at the 1-d array z, with t = |z|^2; the invariant integral
+      samples both and carries the estimates into its error;
     - ``circle_rules(alpha, beta)``: the terms of the invariant integral
       of the transform as (c, atom, centre, degree), one per nonzero term
       (an atom gives itself with c = 1): on each circle |z| = r the atom's
@@ -276,8 +274,6 @@ class _Atom:
       polynomial of that degree in the rule's variable, so the rule is
       exact from the smallest power of two above it; degree 0 about
       centre 0 is one node per circle;
-    - ``sampler_budget(alpha, beta, tol)``: a margin for the transform
-      evaluations' error in the invariant integral (one default for all kinds);
     - ``boundary_weight(order)``: (integral of (1-|w|^2)^(-order) against
       |mu|, endpoint exponent of (1 - t) that decides its finiteness,
       +inf for compact support);
@@ -320,18 +316,10 @@ class _Atom:
         unit, rounding = self._unit(alpha, beta)
         return complex(unit * total), pad + rounding * (total + 2.0 * pad)
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
-        return self.berezin(alpha, beta, z, t)[0]
-
     def circle_rules(self, alpha: int, beta: int) -> tuple:
         # a rotation-invariant kind's transform is conj(z)^alpha z^beta times
         # a function of |z|: degree |alpha - beta| on every circle, unmapped
         return ((1.0, self, 0j, abs(alpha - beta)),)
-
-    def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
-        # the transform carries a (1-|z|^2)^2 factor that cancels the
-        # invariant weight, leaving the derivative-order factorials
-        return int_factorial(alpha + 1) * int_factorial(beta + 1) * tol
 
     def conjugate(self):
         return self
@@ -374,11 +362,8 @@ class _Radial(_Atom):
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         prefactor = _prefactor(alpha, beta, z, t)
         S, est = self._diagonal_sum(alpha, beta, t)
-        value = prefactor * S
-        return value, np.abs(prefactor) * est + (1e-15 + _t_rounding(t)) * np.abs(prefactor) * np.abs(S)
-
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
-        return _prefactor(alpha, beta, z, t) * self._diagonal_sum(alpha, beta, t)[0]
+        scale = np.abs(prefactor)
+        return prefactor * S, scale * est + (1e-15 + _t_rounding(t)) * scale * np.abs(S)
 
 
 @dataclass(frozen=True)
@@ -522,18 +507,11 @@ class PointMass(_Atom):
         phase = self.z0 / abs(self.z0)
         return _sign(alpha, beta) * (phase if k > 0 else phase.conjugate()) ** abs(k), 3.0 * abs(k) * _EPS
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
-        z0 = self.z0
-        return (
-            _prefactor(alpha, beta, z, t)
-            * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
-            * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
-        )
-
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         z0 = self.z0
-        value = self.berezin_value(alpha, beta, z, t)
-        gap = 1.0 - z.conjugate() * z0
+        w = z.conjugate() * z0  # conj(w) is z conj(z0) up to a zero's sign, which 1 - conj(w) erases
+        gap = 1.0 - w
+        value = _prefactor(alpha, beta, z, t) * _ipow(gap, -(2 + alpha)) * _ipow(1.0 - w.conjugate(), -(2 + beta))
         # each rounded product conj(z) z0 is within sqrt(2) gamma_2 |z||z0|
         # (Higham, Accuracy and Stability, §3.6, Lemma 3.5); it moves 1 - conj(z) z0
         # by that over |1 - conj(z) z0| relative; the powers amplify it 4+alpha+beta times
@@ -699,14 +677,8 @@ class Combination:
             "berezin", (alpha, beta, z, t), np.zeros(z.size, dtype=complex), np.zeros(z.size)
         )
 
-    def berezin_value(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
-        return self._sum("berezin_value", (alpha, beta, z, t), np.zeros(z.size, dtype=complex))
-
     def circle_rules(self, alpha: int, beta: int) -> tuple:
         return tuple((c * k, *rule) for c, atom in self._nonzero() for k, *rule in atom.circle_rules(alpha, beta))
-
-    def sampler_budget(self, alpha: int, beta: int, tol: float) -> float:
-        return sum(abs(c) * atom.sampler_budget(alpha, beta, tol) for c, atom in self._nonzero())
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         # total variation bounded term-wise; the worst endpoint decides
@@ -789,8 +761,7 @@ class SymbolSpec:
     base: BaseMeasure
 
     def __post_init__(self):
-        check_integer(self.alpha, "alpha")
-        check_integer(self.beta, "beta")
+        check_integer("derivative order", self.alpha, self.beta)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("derivative orders must be nonnegative")
         if self.alpha + self.beta > MAX_DERIVATIVE_ORDER:
@@ -826,6 +797,7 @@ def moment(base: BaseMeasure, p: int, q: int) -> complex:
     Radial variants vanish off the diagonal p = q by angular orthogonality,
     and the zero is exact, not a rounded small number.
     """
+    check_integer("moment index", p, q)
     if p < 0 or q < 0:
         raise ValueError(f"moment indices must be nonnegative, got ({p}, {q})")
     return base.moment(p, q)
@@ -854,6 +826,7 @@ def carleson_integral(base: BaseMeasure, k: int) -> FinitenessReport:
     Finite for every compactly supported variant; for a radial power weight,
     finite exactly when s - 2k - 2 > -1.
     """
+    check_integer("Carleson order", k)
     if k < 0:
         raise ValueError(f"Carleson order must be nonnegative, got {k}")
     if base.distribution:

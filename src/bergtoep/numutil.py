@@ -23,10 +23,12 @@ def check_tol(tol: float) -> None:
         raise ValueError("tol must be finite and positive")
 
 
-def check_integer(value, what: str) -> None:
-    """Reject bools and non-integers; Python and numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+def check_integer(what: str, *values) -> None:
+    """Reject bools and non-integers among ``values``, each named ``what``
+    in the message; Python and numpy integers pass."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def beta_integral(x: float, y: float) -> float:

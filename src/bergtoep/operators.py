@@ -36,7 +36,7 @@ class TruncatedOperator:
     symbol: SymbolSpec
 
     def __post_init__(self):
-        check_integer(self.dim, "truncation dimension")
+        check_integer("truncation dimension", self.dim)
         if self.dim < 1:
             raise ValueError("truncation dimension must be positive")
         if self.dim > MAX_DIMENSION:
@@ -68,6 +68,7 @@ def entry(symbol: SymbolSpec, n: int, m: int) -> complex:
     The circle radial-derivative pairing has the closed form
     -delta(n, m) (n+1) 2n r0^(2n-1).
     """
+    check_integer("matrix index", n, m)
     if n < 0 or m < 0:
         raise ValueError("matrix indices must be nonnegative")
     return symbol.base.entry(symbol.alpha, symbol.beta, n, m)

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .berezin import _berezin_value_only, invariant_integral
+from .berezin import _berezin_values, invariant_integral
 from .errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
 from .measures import BaseMeasure, SymbolSpec, boundary_weight_integral
-from .numutil import check_tol
+from .numutil import check_integer, check_tol
 from .operators import MAX_DIMENSION, TruncatedOperator, assemble
 
 __all__ = [
@@ -134,22 +134,22 @@ def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float
     term: the sum of c times the integral of each nonzero term's transform,
     errors weighted by |c|, each on the circle rule the term states
     (``circle_rules``), which is exact for it: one node per circle for a
-    radial term at alpha = beta.  The sampler reads the transform's values
-    only (``berezin_value``).  The reported error adds the sampler budget
-    of the symbol's kinds at tol/10, a margin for the transform
-    evaluations' own error.
+    radial term at alpha = beta.  The sampler returns the transform's
+    values with their error bars (``_berezin_values``), which the integral
+    carries into its quadrature error, so the reported error is the sum of
+    the terms' integral errors and nothing else.
     """
     ensure_trace_class(symbol)
     alpha, beta = symbol.alpha, symbol.beta
     values, error = [], 0.0
     for c, atom, centre, degree in symbol.base.circle_rules(alpha, beta):
         term = SymbolSpec(alpha, beta, atom)
-        result = invariant_integral(lambda z, term=term: _berezin_value_only(term, z), (centre, degree), tol)
+        result = invariant_integral(lambda z, term=term: _berezin_values(term, z), (centre, degree), tol)
         values.append(c * result.value)
         error += abs(c) * result.est_error
     # from the first term, not from 0j, which would drop the sign of a zero
     value = sum(values[1:], values[0]) if values else 0j
-    return value, error + symbol.base.sampler_budget(alpha, beta, tol / 10.0)
+    return value, error
 
 
 def trace_report(
@@ -168,11 +168,11 @@ def trace_report(
     check_tol(tol)
     closed, closed_error = trace_closed_form(symbol)
     matrix_value, matrix_tail = trace_matrix(symbol, dim)
-    berezin_value, berezin_err = trace_berezin(symbol, tol=tol)
+    berezin_trace, berezin_err = trace_berezin(symbol, tol=tol)
     ok = (
         abs(closed - matrix_value) <= MATRIX_CLOSED_TOL + matrix_tail + 2.0 * closed_error
-        and abs(closed - berezin_value) <= BEREZIN_TOL + berezin_err
-        and abs(matrix_value - berezin_value) <= BEREZIN_TOL + matrix_tail + berezin_err
+        and abs(closed - berezin_trace) <= BEREZIN_TOL + berezin_err
+        and abs(matrix_value - berezin_trace) <= BEREZIN_TOL + matrix_tail + berezin_err
     )
     ratio = None
     if reference_value is not None and reference_value != 0:
@@ -180,7 +180,7 @@ def trace_report(
     return TraceReport(
         route_matrix=matrix_value,
         matrix_tail=matrix_tail,
-        route_berezin=berezin_value,
+        route_berezin=berezin_trace,
         berezin_error=berezin_err,
         route_closed_form=closed,
         closed_error=closed_error,
@@ -283,6 +283,7 @@ def decay_fit(report: SpectrumReport, window: tuple[int, int]) -> DecayFit:
 
     Residual is the RMS of the fit errors in ln-space.
     """
+    check_integer("fit window index", *window)
     n0, n1 = int(window[0]), int(window[1])
     if not n1 > n0 + 4:
         raise ValueError(f"fit window must span more than 4 indices, got ({n0}, {n1})")

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from bergtoep.berezin import (
-    _berezin_value_only,
     _berezin_values,
     _circle_rule,
     _euler_hyp2f1,
+    _ipow,
+    _prefactor,
     _radial_power_S,
     berezin_matrix,
     berezin_series,
@@ -465,15 +466,15 @@ def test_weighted_transform_rejects_non_integrable_weights():
 
 
 def test_invariant_integral_radial_polynomials():
-    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 2, (0j, 0), 1e-8)
+    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0), (0j, 0), 1e-8)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
     assert r.boundary_tail > 0.0
-    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 3, (0j, 0), 1e-8)
+    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 3, 0.0), (0j, 0), 1e-8)
     assert r.value.real == pytest.approx(0.5, abs=1e-8)
 
 
 def test_invariant_integral_non_radial_kernel_norm():
-    sampler = lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4
+    sampler = lambda z: ((1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, 0.0)
     # the point mass's transform at (0, 0): degree 1 on the rule mapped around 0.5
     r = invariant_integral(sampler, (0.5, 1), 1e-8)
     assert r.value.real == pytest.approx(16.0 / 9.0, abs=1e-7)
@@ -482,10 +483,10 @@ def test_invariant_integral_non_radial_kernel_norm():
 def test_invariant_integral_linearity():
     f = lambda z: (1 - abs(z) ** 2) ** 2
     g = lambda z: (1 - abs(z) ** 2) ** 3
-    combined = invariant_integral(lambda z: 2.0 * f(z) + 3.0 * g(z), (0j, 0), 1e-9)
+    combined = invariant_integral(lambda z: (2.0 * f(z) + 3.0 * g(z), 0.0), (0j, 0), 1e-9)
     separate = (
-        2.0 * invariant_integral(f, (0j, 0), 1e-9).value
-        + 3.0 * invariant_integral(g, (0j, 0), 1e-9).value
+        2.0 * invariant_integral(lambda z: (f(z), 0.0), (0j, 0), 1e-9).value
+        + 3.0 * invariant_integral(lambda z: (g(z), 0.0), (0j, 0), 1e-9).value
     )
     assert combined.value == pytest.approx(separate, abs=1e-8)
 
@@ -517,7 +518,7 @@ def test_tolerances_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         weighted_berezin_radial((0.0, 0.0), 0, 0.3, tol=tol)
     with pytest.raises(ValueError, match="finite and positive"):
-        invariant_integral(lambda z: 1.0, (0j, 0), tol=tol)
+        invariant_integral(lambda z: (1.0, 0.0), (0j, 0), tol=tol)
 
 
 _BUFFER_BYTES = 16.0 * 4096 * 4096
@@ -579,11 +580,23 @@ def test_array_sampler_matches_one_point_calls_bitwise(symbol):
         assert sample.value == values[k] and sample.est_error == errors[k]
     grid, grid_errors = _berezin_values(symbol, _BATCH_POINTS.reshape(3, 4))
     assert grid.tobytes() == values.tobytes() and grid_errors.tobytes() == errors.tobytes()
-    # the value-only method, and its array helper, give the same values to the bit
-    t = (_BATCH_POINTS * _BATCH_POINTS.conjugate()).real
-    only = symbol.base.berezin_value(symbol.alpha, symbol.beta, _BATCH_POINTS, t)
-    assert only.tobytes() == values.tobytes()
-    assert _berezin_value_only(symbol, _BATCH_POINTS.reshape(3, 4)).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("z0", [0.5, -0.5, 0.5j, complex(0.5, -0.0), 0.2 + 0.2j, cmath.rect(0.9999, 0.7)])
+def test_point_mass_transform_forms_both_gaps_from_one_product_bitwise(z0):
+    # 1 - z conj(z0) is read off the product conj(z) z0: the values equal
+    # the two-product form to the bit, signed zeros on the axes included
+    parts = [0.0, -0.0, 0.3, -0.3, 0.7]
+    z = np.array([complex(a, b) for a in parts for b in parts] + list(_BATCH_POINTS))
+    t = (z * z.conjugate()).real
+    for alpha, beta in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3)]:
+        value, _ = PointMass(z0).berezin(alpha, beta, z, t)
+        reference = (
+            _prefactor(alpha, beta, z, t)
+            * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
+            * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
+        )
+        assert value.tobytes() == reference.tobytes(), (alpha, beta)
 
 
 def test_gauss_kronrod_15_integrates_monomials_to_its_degree():
@@ -614,7 +627,7 @@ def test_invariant_integral_panel_value_is_k15_and_estimate_k15_minus_g7():
     # h = u^24 makes the panel integrand u^22 in u = 1 - |z|^2: K15 is exact
     # on it, G7 is not, so the value is the integral over the panels to the
     # rounding and quad_error is the sum of the G7 errors, panel by panel
-    r = invariant_integral(lambda z: (1 - abs(z) ** 2) ** 24, (0j, 0), 1e-8)
+    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 24, 0.0), (0j, 0), 1e-8)
     u_edge = 2.0 ** -r.panels
     assert r.value.real == pytest.approx((1.0 - u_edge**23) / 23.0, rel=4e-16)
     x7, w7 = np.polynomial.legendre.leggauss(7)
@@ -625,6 +638,17 @@ def test_invariant_integral_panel_value_is_k15_and_estimate_k15_minus_g7():
         g7_error += abs((hi**23 - lo**23) / 23.0 - half * np.dot(w7, (mid + half * x7) ** 22))
     assert r.quad_error == pytest.approx(g7_error, rel=1e-6)
     assert r.quad_error > 1e-9  # G7 alone would be this far off
+
+
+@pytest.mark.parametrize("circle", [(0j, 0), (0j, 3), (0.5j, 1)])
+def test_invariant_integral_adds_the_samples_error_bars_through_its_weights(circle):
+    # a bar of 1e-6 |f| at every sample adds 1e-6 times the integral of |f|,
+    # here of f itself, positive: the circle and K15 weights are positive
+    f = lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5j) ** -4
+    exact = invariant_integral(lambda z: (f(z), 0.0), circle, 1e-8)
+    barred = invariant_integral(lambda z: (f(z), 1e-6 * f(z)), circle, 1e-8)
+    assert barred.value == exact.value and barred.panels == exact.panels
+    assert barred.quad_error - exact.quad_error == pytest.approx(1e-6 * exact.value.real, rel=1e-9)
 
 
 class _RecordingSampler:
@@ -650,7 +674,7 @@ def _mesh_radii():
 
 def test_invariant_integral_radial_hint_samples_the_mesh_in_one_call():
     # degree 0 about centre 0: one node per circle, z = r on the real axis
-    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2)
+    sampler = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0))
     r = invariant_integral(sampler, (0j, 0), 1e-8)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
     (z,) = sampler.batches
@@ -662,7 +686,7 @@ def test_invariant_integral_radial_hint_samples_the_mesh_in_one_call():
 # a trigonometric polynomial of degree 63 averages exactly on 64 nodes
 def _degree_63(z):
     w = 1 - abs(z) ** 2
-    return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5)
+    return w**2 * (1.0 + z**3 + 2.0 * z.conjugate() ** 63 + (z * z.conjugate()) ** 5), 0.0
 
 
 def test_invariant_integral_samples_each_circle_once_at_its_degree():
@@ -670,7 +694,7 @@ def test_invariant_integral_samples_each_circle_once_at_its_degree():
     # node of each on the radii that degree 0 samples
     sampler = _RecordingSampler(_degree_63)
     r = invariant_integral(sampler, (0j, 63), 1e-8)
-    radial = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10))
+    radial = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10), 0.0))
     oracle = invariant_integral(radial, (0j, 0), 1e-8)
     (z,) = sampler.batches
     assert z.shape == (720, 64) and r.samples == 720 * 64
@@ -684,7 +708,7 @@ def test_invariant_integral_samples_each_circle_once_at_its_degree():
      (0j, -3), (0j, 2.5), (0j, True), (0j, 64), (0.5, 1.0)],
 )
 def test_invariant_integral_rejects_a_bad_circle_rule_before_sampling(circle):
-    sampler = _RecordingSampler(lambda z: (1 - abs(z) ** 2) ** 2)
+    sampler = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0))
     with pytest.raises(ValueError, match="circle rule"):
         invariant_integral(sampler, circle, 1e-8)
     assert sampler.batches == []
@@ -695,7 +719,7 @@ def test_invariant_integral_fails_on_a_divergent_boundary():
     # last panels' means grow like 1/u.  The sampled 1 - |z|^2 keeps only a
     # few digits of u on the last panels, where u nears 2^-48
     with pytest.raises(NumericalFailureError, match="panel budget exhausted") as info:
-        invariant_integral(lambda z: 1 - abs(z) ** 2, (0j, 0), 1e-8)
+        invariant_integral(lambda z: (1 - abs(z) ** 2, 0.0), (0j, 0), 1e-8)
     assert info.value.partial == pytest.approx(48 * math.log(2.0), rel=1e-3)
     assert info.value.achieved > 0.0
 
@@ -703,21 +727,27 @@ def test_invariant_integral_fails_on_a_divergent_boundary():
 def _panel_by_panel(sampler, circle, tol):
     """The invariant integral sampled one panel at a time, each on the
     stated circle rule, the stop rule read as each panel is summed: the
-    whole-mesh sampling must give the same numbers to the bit."""
+    whole-mesh sampling must give the same numbers to the bit.  The
+    samples' error bars go through the same positive weights as their
+    values, and their sum over the panels is added to quad_error."""
     nodes, w15, w7 = gauss_kronrod_15()
     centre, degree = circle
     n = 1 << degree.bit_length()
-    panels, quad_error, means, converged = [], 0.0, [], False
+    panels, quad_error, means, converged, sample_errors = [], 0.0, [], False, []
     for j in range(48):
         u_hi, u_lo = 2.0**-j, 2.0 ** -(j + 1)
         mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
         u = mid + half * nodes
         z, weights = _circle_rule(np.sqrt(1.0 - u), centre, n, np.arange(n))
-        v = np.broadcast_to(np.asarray(sampler(z), dtype=complex), z.shape)
+        v, e = sampler(z)
+        v = np.broadcast_to(np.asarray(v, dtype=complex), z.shape)
+        e = np.broadcast_to(np.asarray(e, dtype=float), z.shape)
         h = (v if weights is None else weights * v).sum(axis=1) / n
+        bar = (e if weights is None else weights * e).sum(axis=1) / n
         vals = h / u**2
         p15, p7 = half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
         panels.append(p15)
+        sample_errors.append(half * float(np.dot(bar / u**2, w15)))
         quad_error += abs(p15 - p7)
         means.append((mid, abs(p15) / (2.0 * half)))
         if j >= 3 and abs(p15) < tol / 10.0:
@@ -729,12 +759,13 @@ def _panel_by_panel(sampler, circle, tol):
     exponent = min(max(exponent, -0.95), 8.0)
     h_edge = h1 * (u_lo / u1) ** exponent if h1 > 0.0 else 0.0
     value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
+    quad_error += float(np.sum(sample_errors))
     return value, quad_error, 3.0 * h_edge * u_lo / (1.0 + exponent), len(panels)
 
 
 def _transform(alpha, beta, base):
     symbol = SymbolSpec(alpha, beta, base)
-    return lambda z: _berezin_value_only(symbol, z)
+    return lambda z: _berezin_values(symbol, z)
 
 
 _Z0 = cmath.rect(0.9, 0.7)
@@ -743,13 +774,13 @@ _Z0 = cmath.rect(0.9, 0.7)
 @pytest.mark.parametrize(
     "sampler,circle,panels",
     [
-        (lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, (0.5, 1), None),
+        (lambda z: ((1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, 0.0), (0.5, 1), None),
         (_transform(2, 1, PointMass(_Z0)), (_Z0, 3), None),
         (_transform(1, 1, RadialPower(s=4.0)), (0j, 0), None),
         (_transform(0, 0, CircleRadialDerivative(0.6)), (0j, 0), None),
-        (lambda z: (1 - abs(z) ** 2) ** 24, (0j, 0), 4),
-        (lambda z: (1 - abs(z) ** 2) ** 24 * (1.0 + z**3), (0j, 3), 4),
-        (lambda z: (1 - abs(z) ** 2) ** 24 * abs(1 - z.conjugate() * 0.5j) ** -4, (0.5j, 1), 4),
+        (lambda z: ((1 - abs(z) ** 2) ** 24, 0.0), (0j, 0), 4),
+        (lambda z: ((1 - abs(z) ** 2) ** 24 * (1.0 + z**3), 0.0), (0j, 3), 4),
+        (lambda z: ((1 - abs(z) ** 2) ** 24 * abs(1 - z.conjugate() * 0.5j) ** -4, 0.0), (0.5j, 1), 4),
     ],
     ids=["kernel-norm", "point-mapped", "radial-power", "circle-deriv", "stop-3-radial", "stop-3-plain",
          "stop-3-mapped"],
@@ -761,10 +792,12 @@ def test_whole_mesh_sampling_matches_the_panel_by_panel_loop_bitwise(sampler, ci
     assert str(r.value) == str(value)  # the signs of zeros too
     assert panels is None or r.panels == panels
     if panels is not None:
-        # what the sampler returns past the stop panel is never read
-        spoiled = invariant_integral(
-            lambda z: np.where(1 - abs(z) ** 2 < 1 / 32, np.nan, sampler(z)), circle, 1e-8
-        )
+        # what the sampler returns past the stop panel, values or bars, is never read
+        def spoil(z):
+            past = 1 - abs(z) ** 2 < 1 / 32
+            return tuple(np.where(past, np.nan, out) for out in sampler(z))
+
+        spoiled = invariant_integral(spoil, circle, 1e-8)
         assert spoiled == r
 
 

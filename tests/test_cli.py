@@ -383,6 +383,21 @@ def test_float_overflow_is_a_numerical_failure(capsys, argv):
     assert json.loads(err)["error"]["type"] == "numerical-failure"
 
 
+def test_numerical_failure_reports_its_partial_value_and_achieved_accuracy(capsys):
+    # s = 1.01 integrates, but the Berezin integral's boundary looks divergent
+    # within its 48 panels: exit 2 with how far the integral got
+    symbol = '{"alpha":0,"beta":0,"measure":{"kind":"radial_power","s":1.01}}'
+    code, out, err = run(capsys, "trace", "--symbol", symbol, "--dim", "64")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert set(error) == {"type", "message", "partial", "achieved"}
+    assert set(error["partial"]) == {"re", "im"} and error["partial"]["re"] > 0.0
+    assert error["achieved"] > 0.0
+    # an overflow carries neither
+    _, _, err = run(capsys, "trace", "--symbol", NEAR_CIRCLE)
+    assert json.loads(err)["error"]["partial"] is None and json.loads(err)["error"]["achieved"] is None
+
+
 def test_trace_holds_the_dimension_cap(capsys):
     symbol = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.5}}'
     code, out, err = run(capsys, "trace", "--dim", "20000", "--symbol", symbol)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergtoep.bergman import basis_deriv_coeff
+from bergtoep.bergman import basis_deriv_coeff, kernel_deriv_norm
 from bergtoep.measures import (
     CircleRadialDerivative,
     CircleUniform,
@@ -18,9 +18,11 @@ from bergtoep.measures import (
     PointMass,
     RadialPower,
     SymbolSpec,
+    carleson_integral,
+    moment,
 )
 from bergtoep.operators import TruncatedOperator, adjoint_symbol, assemble, entry
-from bergtoep.spectral import carleson_bound_estimate, trace_report
+from bergtoep.spectral import carleson_bound_estimate, decay_fit, singular_values, trace_report
 
 
 def test_entry_circle_uniform_diagonal():
@@ -86,6 +88,31 @@ def test_integer_fences_reach_every_dimension_argument():
         trace_report(symbol, dim=True)
     op = assemble(symbol, np.int64(5))  # numpy integers pass
     assert op.entries.shape == (5, 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: moment(PointMass(0.5), bad, 0),
+        lambda bad: entry(SymbolSpec(1, 1, PointMass(0.5)), bad, 2),
+        lambda bad: carleson_integral(RadialPower(4.0), bad),
+        lambda bad: decay_fit(singular_values(assemble(SymbolSpec(1, 1, CircleUniform(0.6)), 64)), (10, bad)),
+        lambda bad: basis_deriv_coeff(3, bad),
+        lambda bad: kernel_deriv_norm(0.5, bad),
+    ],
+    ids=["moment", "entry", "carleson_integral", "decay_fit", "basis_deriv_coeff", "kernel_deriv_norm"],
+)
+@pytest.mark.parametrize("bad", [1.5, 30.2, 2.0, np.float64(1.0), True])
+def test_integer_fences_reach_every_index_argument(call, bad):
+    # a float index once ran on (moment 0.354, entry 2.73, a k=1.0 report,
+    # a window truncated to integers) or raised TypeError; bools are rejected too
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+
+
+def test_integer_index_arguments_accept_numpy_integers():
+    assert moment(PointMass(0.5), np.int64(1), 0) == 0.5
+    assert basis_deriv_coeff(np.int32(3), 1) == basis_deriv_coeff(3, 1)
 
 
 def test_operator_flags_follow_the_symbol():

@@ -84,7 +84,6 @@ def test_protocol_conformance(base, alpha, beta):
     assert values.shape == Z.shape and values.dtype.kind in "fc"  # real for real transforms
     assert errors.shape == Z.shape and errors.dtype == float and np.all(errors >= 0.0)
 
-    assert base.sampler_budget(alpha, beta, 1e-9) > 0.0
     weight, exponent = base.boundary_weight(4)
     assert weight > 0.0 and exponent > -1.0
 

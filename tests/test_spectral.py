@@ -257,8 +257,8 @@ def test_trace_berezin_radial_power_matches_telescoping_oracle():
 
 
 def test_trace_berezin_circle_derivative_bar_covers_the_exact_trace():
-    # closed-form transform: the bar is the integral's own plus the default
-    # sampler budget, and must cover the distance to -4 r0 / (1 - r0^2)^3
+    # closed-form transform: the bar is the integral's own, the samples'
+    # bars included, and must cover the distance to -4 r0 / (1 - r0^2)^3
     for r0 in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
         value, err = trace_berezin(SymbolSpec(0, 0, CircleRadialDerivative(r0)))
         assert abs(value - (-4.0 * r0 / (1.0 - r0 * r0) ** 3)) <= err, r0
@@ -352,6 +352,40 @@ def test_trace_berezin_point_mass_near_the_circle_within_its_bar_of_mpmath(z0):
         value, err = trace_berezin(symbol)
         assert abs(value - oracle[(alpha, beta)]) <= err, (alpha, beta)
         assert err <= 1e-9 * abs(oracle[(alpha, beta)]), (alpha, beta)
+
+
+# the nine families of the benchmark's trace workload at seed 7, with
+# their drawn radii and turned points written out
+_TRACE_WORKLOAD_SEED_7 = {
+    "radial-11": (1, 1, RadialPower(4.0)),
+    "origin-11": (1, 1, PointMass(0j)),
+    "origin-21": (2, 1, PointMass(0j)),
+    "point-11": (1, 1, PointMass(complex(-0.3059368749137954, -0.2576870748950764))),
+    "point-a0": (1, 0, PointMass(complex(0.2576870748950764, -0.3059368749137954))),
+    "point-21": (2, 1, PointMass(complex(0.2576870748950764, 0.3059368749137954))),
+    "circle-deriv": (0, 0, CircleRadialDerivative(0.617434018804472)),
+    "circle-11": (1, 1, CircleUniform(0.5099975769588011)),
+    "graded": (1, 1, Combination(
+        ((1.0, CircleUniform(0.3)), (0.3, PointMass(complex(-0.1932653061713073, 0.22945265618534655))))
+    )),
+}
+
+
+@pytest.mark.parametrize("family", list(_TRACE_WORKLOAD_SEED_7))
+def test_trace_berezin_bar_covers_the_closed_form_on_the_trace_workload(family):
+    # the bar is the integral's own, with the samples' error bars summed
+    # through its weights; the closed form is within ~1e-14 relative
+    symbol = SymbolSpec(*_TRACE_WORKLOAD_SEED_7[family])
+    value, err = trace_berezin(symbol)
+    closed, _ = trace_closed_form(symbol)
+    assert abs(value - closed) <= err
+
+
+def test_trace_berezin_bar_of_radial_power_is_below_the_old_padding():
+    # (alpha+1)!(beta+1)! tol/10 = 4e-9 alone once padded this bar; every
+    # sampled transform is now within ~1e-13 relative and carries its own bar
+    value, err = trace_berezin(SymbolSpec(1, 1, RadialPower(s=4.0)), tol=1e-8)
+    assert abs(value - 4.0) <= err < 4e-9
 
 
 def test_trace_report_agrees_on_a_large_point_mass_trace():
