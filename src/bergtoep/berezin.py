@@ -16,14 +16,15 @@ of that 2F1 against the weight, which one trapezoid rule on a log scale
 evaluates at every |z| < 1 with a derived error bound and no tolerance
 (``_radial_power_S``).  Every route takes arrays of points.
 
-The invariant integral uses composite 15-node Gauss-Kronrod panels on a
-dyadic mesh graded toward t = |z|^2 = 1, each panel's error estimate read
-from the 7-node Gauss rule nested in its nodes.  The whole mesh is sampled
-in one call, on a trapezoid rule per circle, Moebius-mapped around a
-centre (``_circle_rule``), with as many nodes as the integrand's stated
-degree in the rule's variable makes exact: one node for a radial
-integrand, a few for a point mass's transform.  The unresolved boundary
-sliver is extrapolated and reported, never dropped.
+The invariant integral is one trapezoid rule in v = ln(t/(1-t)),
+t = |z|^2, a log scale like the radial power's rule: its error
+estimate is the gap to the rule on every other node, and its two cut-off
+tails are bounded from the end samples and the integrand's stated
+boundary decay.  All 285 radii are sampled in one call, on a trapezoid
+rule per circle, Moebius-mapped around a centre (``_circle_rule``), with
+as many nodes as the integrand's stated degree in the rule's variable
+makes exact: one node for a radial integrand, a few for a point mass's
+transform.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .numutil import (
     check_integer,
     check_tol,
     falling_factorial,
-    gauss_kronrod_15,
     int_factorial,
     ratio_series,
 )
@@ -143,9 +143,11 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
     The estimate adds: u S for the rule; the two tails; the rounding of
     each node, c u relative from its operation count (exp and pow within
     one ulp, P by Horner); the rounding of the running sum, u per partial
-    sum; and S's sensitivity to the rounding of t = |z|^2,
-    gamma_2 (deg P + m t/(1-t)).  Each row sums its own nodes in one fixed
-    order, whatever else shares the batch; each distinct t is summed once.
+    sum; and S's sensitivity to the rounding of t = |z|^2, gamma_2 t S'(t),
+    its first order summed from the same nodes as
+    h sum f_k (deg P + m t x_k/(1 - t x_k)).  Each row sums its own nodes
+    in one fixed order, whatever else shares the batch; each distinct t is
+    summed once.
     Returns (S, est) arrays.
     """
     t, where = np.unique(np.atleast_1d(np.asarray(t, dtype=float)), return_inverse=True)
@@ -172,6 +174,7 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
 
     S = np.empty(t.size)
     partials = np.empty(t.size)
+    sensitivity = np.empty(t.size)
     for i in range(0, t.size, rows):
         tc = t[i : i + rows]
         eps = 1.0 - tc
@@ -184,6 +187,9 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
         partial = np.cumsum(f[::-1], axis=0)
         S[i : i + rows] = h * partial[-1]
         partials[i : i + rows] = h * np.cumsum(partial, axis=0)[-1]
+        # t S'(t) = h sum f (t x P'(t x)/P(t x) + m t x/(1 - t x)), where t x P'/P <= deg P
+        # and t x/(1 - t x) = t/(eps (1 + e^v))
+        sensitivity[i : i + rows] = h * (deg * partial[-1] + m * tc / eps * (f / one_e).sum(axis=0))
 
     eps = 1.0 - t
     P_t = _euler_poly(alpha, beta, t)
@@ -206,7 +212,7 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
         + _U * (S + tails)
         + _gamma(c) * S
         + 2.0 * _U * partials
-        + _gamma(2.0) * (deg + m * t / eps) * S
+        + _gamma(2.0) * sensitivity
     )
     return S[where], est[where]
 
@@ -313,23 +319,23 @@ def weighted_berezin_radial(
     return complex((alpha + 1.0) * (1.0 - t) ** (2 + alpha) * float(series[0]))
 
 
-# dyadic panels of the invariant integral, and the largest circle-rule
-# degree: one sampler call of 720 circles stays within 720 x 64 points
-_INVARIANT_PANELS = 48
+# the invariant integral's trapezoid rule in v = ln(t/(1-t)): step 1/4 over
+# [-37, 34], 285 radii, where 1 - t falls to 1.7e-15; and the largest
+# circle-rule degree, so that one sampler call stays within 285 x 64 points
+_STEP = 0.25
+_V = -37.0 + _STEP * np.arange(285)
 _MAX_DEGREE = 63
 
 
 @dataclass(frozen=True)
 class InvariantIntegralResult:
     """Integral against (1-|z|^2)^(-2) dA with split error accounting (the
-    quadrature's, which includes the samples' own error bars, and the
-    boundary sliver's), the number of panels summed and of points handed
-    to the sampler."""
+    quadrature's, which includes the samples' own error bars, and the two
+    cut-off tails') and the number of points handed to the sampler."""
 
     value: complex
     quad_error: float
     boundary_tail: float
-    panels: int
     samples: int
 
     @property
@@ -356,7 +362,8 @@ def _circle_rule(radii: np.ndarray, centre: complex, n: int, k: np.ndarray):
         return r * w, None
     rho = r * abs(centre)
     z = (r * (centre / abs(centre))) * ((w + rho) / (1.0 + rho * w))
-    return z, (1.0 - rho * rho) / np.abs(1.0 + rho * w) ** 2
+    # 1 - rho^2 as a product, which does not cancel as rho nears 1
+    return z, ((1.0 - rho) * (1.0 + rho)) / np.abs(1.0 + rho * w) ** 2
 
 
 def _check_circle(circle) -> tuple[complex, int]:
@@ -375,85 +382,69 @@ def _check_circle(circle) -> tuple[complex, int]:
 def invariant_integral(
     sampler: Callable[[np.ndarray], tuple],
     circle: tuple[complex, int],
-    tol: float = 1e-8,
+    decay: float,
 ) -> InvariantIntegralResult:
     """Integral of ``sampler`` against the invariant measure (1-|z|^2)^(-2) dA.
 
-    In t = |z|^2 the mesh is dyadic toward t = 1 (edges 1 - 2^-j) with
-    15-point Gauss-Kronrod panels, summed in order until a panel past the
-    third falls below tol/10.  A panel's value is its Kronrod sum K15;
-    ``quad_error`` adds |K15 - G7|, with G7 the Gauss rule on the
-    odd-indexed Kronrod nodes, so the estimate costs no sample of its own,
-    and the samples' error bars summed through the same positive weights
-    as their values.  The remaining boundary sliver is power-law
-    extrapolated into ``boundary_tail`` (reported, never dropped).
+    With t = |z|^2 = 1/(1+e^(-v)) the measure is e^v dv dtheta/(2 pi), and
+    the integral that of f(v) = e^v times the circle average at radius
+    sqrt(t), by one trapezoid rule of step 1/4 over v in [-37, 34]
+    (Trefethen & Weideman, SIAM Rev. 56, 2014, §5): 1/4 the sum of the 285
+    f_k.  ``quad_error`` adds |T_1/4 - T_1/2|, T_1/2 the rule on the even
+    nodes, so the estimate costs no sample of its own; the samples' error
+    bars through the same positive weights as their values; and the
+    rounding.  ``boundary_tail`` bounds the cut-off tails from the end
+    samples and their bars: |f_0| below v = -37, where t < 1e-16 and the
+    average is constant to the rounding; above v = 34, where f decays like
+    e^(-decay v), |f_end| (1 + 2/v_end)/decay.  The 2/v_end covers, at
+    decay 1, a logarithm f ~ (v + c) e^(-v) with c >= -v_end/2 (a radial
+    power's transform at s = 2 + 2 alpha has c = -2 H_(alpha+1)) and the
+    lower-order terms of the other sign that approach it.  A smaller
+    ``decay`` only loosens the bar; a bound above the sampled mass, the
+    rule on the modulus of each weighted sample, raises
+    NumericalFailureError with the partial value and the error reached.
 
     ``sampler`` maps an ndarray of points z to a pair (values, error
     estimates), each an ndarray of the same shape as z or a scalar
     broadcast over it, the estimates nonnegative, evaluating each point
-    independently of the others in the array.  Each of the mesh's 720
-    radii, 48 panels of 15, carries the trapezoid rule ``_circle_rule``
-    mapped around ``circle``'s centre with n nodes, n the smallest power
-    of two above its degree: exact when the integrand times the rule's
-    weight is a Laurent polynomial of that degree in the mapped variable.
-    Degree 0 about centre 0 is one node, z = r, on each circle.  The whole
-    mesh is one sampler call of 720 x n points; a centre outside the open
-    disk or a degree outside 0..63 raises ValueError before any sampling.
+    independently of the others in the array.  Each radius carries the
+    trapezoid rule ``_circle_rule`` mapped around ``circle``'s centre with
+    n nodes, n the smallest power of two above its degree: exact when the
+    integrand times the rule's weight is a Laurent polynomial of that
+    degree in the mapped variable.  Degree 0 about centre 0 is one node,
+    z = r, on each circle.  The whole rule is one sampler call of 285 x n
+    points; a centre outside the open disk, a degree outside 0..63, or a
+    decay that is not finite and positive raises ValueError before any
+    sampling.
     """
-    check_tol(tol)
     centre, degree = _check_circle(circle)
-    nodes, w15, w7 = gauss_kronrod_15()
-    edges = 2.0 ** -np.arange(_INVARIANT_PANELS + 1.0)
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
-    u = mids[:, None] + halves[:, None] * nodes
-    radii = np.sqrt(1.0 - u)
-
+    if not 0.0 < decay < math.inf:  # NaN fails every comparison
+        raise ValueError(f"boundary decay rate must be finite and positive, got {decay}")
     n = 1 << degree.bit_length()
-    z, weights = _circle_rule(radii.reshape(-1), centre, n, np.arange(n))
+    z, weights = _circle_rule(np.sqrt(1.0 / (1.0 + np.exp(-_V))), centre, n, np.arange(n))
     values, errors = sampler(z)
     values = np.broadcast_to(np.asarray(values, dtype=complex), z.shape)
     errors = np.broadcast_to(np.asarray(errors, dtype=float), z.shape)
     if weights is not None:
         values, errors = weights * values, weights * errors
-    h = (values.sum(axis=1) / n).reshape(radii.shape)
-    # the samples' own error bars through the same positive circle and K15
-    # weights as the values, every panel in one expression
-    sample_errors = halves * (((errors.sum(axis=1) / n).reshape(radii.shape) / u**2) @ w15)
-
-    panels: list[complex] = []  # 15-point Kronrod panel values
-    quad_error = 0.0
-    panel_means: list[tuple[float, float]] = []  # (u midpoint, |mean h|)
-    converged = False
-    for j in range(_INVARIANT_PANELS):
-        vals = h[j] / u[j] ** 2
-        half = float(halves[j])
-        p15, p7 = half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
-        panels.append(p15)
-        quad_error += abs(p15 - p7)
-        panel_means.append((float(mids[j]), abs(p15) / (2.0 * half)))
-        if j >= 3 and abs(p15) < tol / 10.0:
-            converged = True
-            break
-    u_edge = float(edges[len(panels)])
-    quad_error += float(sample_errors[: len(panels)].sum())
-
-    value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
-
-    # extrapolate h ~ C u^e over the unresolved sliver (0, u_edge)
-    exponent = 0.0
-    if len(panel_means) >= 2 and panel_means[-2][1] > 0.0 and panel_means[-1][1] > 0.0:
-        (u2, h2), (u1, h1) = panel_means[-2], panel_means[-1]
-        exponent = math.log(h1 / h2) / math.log(u1 / u2)
-    if not converged and exponent <= -0.95:
+    e_v = np.exp(_V) / n
+    f, bars = values.sum(axis=1) * e_v, errors.sum(axis=1) * e_v
+    rule = lambda terms, step: step * complex(math.fsum(terms.real), math.fsum(terms.imag))
+    value = rule(f, _STEP)
+    # the rule on |weight * value|: each term errs by at most gamma_(n+11)
+    # of its share of this mass, from the mapped weight (9) and its product,
+    # the circle sum (n - 1), e^v and its product; the value errs by that
+    # and the rounding of its sum, at most u times the mass, and T_1/2, on
+    # the even terms at twice the step, by at most twice as much
+    mass = _STEP * float(np.abs(values).sum(axis=1) @ e_v)
+    rounding = 4.0 * _gamma(n + 12) * mass
+    quad_error = abs(value - rule(f[::2], 2.0 * _STEP)) + _STEP * float(bars.sum()) + rounding
+    below = abs(f[0]) + bars[0]
+    above = (abs(f[-1]) + bars[-1]) * (1.0 + 2.0 / _V[-1]) / decay
+    if above > mass:
         raise NumericalFailureError(
-            "graded-mesh panel budget exhausted against a divergent-looking boundary",
+            f"invariant integral's boundary tail bound {above:.3g} exceeds its sampled mass {mass:.3g}",
             partial=value,
-            achieved=quad_error,
+            achieved=quad_error + below + above,
         )
-    exponent = min(max(exponent, -0.95), 8.0)
-    u1, h1 = panel_means[-1]
-    h_edge = h1 * (u_edge / u1) ** exponent if h1 > 0.0 else 0.0
-    boundary_tail = 3.0 * h_edge * u_edge / (1.0 + exponent)
-    return InvariantIntegralResult(
-        value=value, quad_error=quad_error, boundary_tail=boundary_tail, panels=len(panels), samples=z.size
-    )
+    return InvariantIntegralResult(value=value, quad_error=quad_error, boundary_tail=below + above, samples=z.size)

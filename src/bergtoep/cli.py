@@ -116,7 +116,7 @@ def parse_complex(text: str) -> complex:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of --tol and --rank-tol: NaN and inf are usage errors."""
+    """argparse type of --rank-tol: NaN and inf are usage errors."""
     if not np.isfinite(value := float(text)):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -295,7 +295,7 @@ def _to_text(report) -> str:
 
 def _cmd_trace(args) -> tuple[str, int]:
     symbol = _parse_symbol_arg(args.symbol)
-    report = trace_report(symbol, dim=args.dim, tol=args.tol)
+    report = trace_report(symbol, dim=args.dim)
     payload = {
         "report": "trace",
         "symbol": symbol_to_config(symbol),
@@ -426,7 +426,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("trace", help="trace by all three routes with agreement check")
     common(p)
-    p.add_argument("--tol", type=_finite_float, default=1e-8, help="tolerance (default 1e-8)")
     p = sub.add_parser("spectrum", help="singular values and exponential decay fit")
     common(p)
     p.add_argument("--rank-tol", type=_finite_float, default=1e-12, dest="rank_tol")

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .berezin import _euler_hyp2f1, _ipow, _prefactor, _radial_power_S
+from .berezin import _euler_hyp2f1, _gamma, _ipow, _prefactor, _radial_power_S
 from .bergman import basis_deriv_coeff
 from .errors import UnsupportedSymbolError
 from .numutil import beta_integral, beta_rounding, check_integer
@@ -515,9 +515,14 @@ class PointMass(_Atom):
         # each rounded product conj(z) z0 is within sqrt(2) gamma_2 |z||z0|
         # (Higham, Accuracy and Stability, §3.6, Lemma 3.5); it moves 1 - conj(z) z0
         # by that over |1 - conj(z) z0| relative; the powers amplify it 4+alpha+beta times
-        gamma_2 = 2.0 * _U / (1.0 - 2.0 * _U)
-        conditioning = (4 + alpha + beta) * math.sqrt(2.0) * gamma_2 * abs(z0) * np.sqrt(t) / np.abs(gap)
-        return value, (1e-14 + _t_rounding(t) + conditioning) * np.abs(value)
+        conditioning = (4 + alpha + beta) * math.sqrt(2.0) * _gamma(2) * abs(z0) * np.sqrt(t) / np.abs(gap)
+        # the rest as Higham's gamma_n, a complex product counted as gamma_3 and a
+        # reciprocal as gamma_6 (Lemma 3.5): the factorials, alpha + beta; the monomial,
+        # 3 per power (t's own gamma_2 in t^min(alpha, beta)); the prefactor's products
+        # and (1 - t)^2, 6; per gap its rounding and powers, 4 (2 + order), and the
+        # reciprocal, 6; the value's two products, 6
+        roundings = 5 * (alpha + beta) + 3 * max(alpha, beta) + 40
+        return value, (_gamma(roundings) + _t_rounding(t) + conditioning) * np.abs(value)
 
     def circle_rules(self, alpha: int, beta: int) -> tuple:
         # mapped around z0, with rho = r |z0|, 1 - z conj(z0) is (1 - rho^2)/(1 + rho w)

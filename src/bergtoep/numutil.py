@@ -1,13 +1,12 @@
 """Small numerical helpers: the Beta integral with its rounding bound,
-falling factorials, the ratio-series summer with its geometric tail
-bound, and the (7, 15) Gauss-Kronrod rule."""
+falling factorials, and the ratio-series summer with its geometric tail
+bound."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import sys
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -114,49 +113,3 @@ def ratio_series(first, ratio_at: Callable, tol: float, ratio_sup=0.0):
         term = term * ratio
         p += 1
     return sums, tails
-
-
-# the (7, 15) Gauss-Kronrod pair of QUADPACK's QK15 (Piessens et al., 1983):
-# the positive Kronrod nodes, the Kronrod weights, and the Gauss weights of
-# the nodes _QK15_X[1], _QK15_X[3], _QK15_X[5] and 0
-_QK15_X = (
-    0.991455371120812639206854697526329,
-    0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926,
-    0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013,
-    0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245,
-    0.0,
-)
-_QK15_WK = (
-    0.022935322010529224963732008058970,
-    0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518,
-    0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550,
-    0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649,
-    0.209482141084727828012999174891714,
-)
-_QK15_WG = (
-    0.129484966168869693270611432679082,
-    0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975,
-    0.417959183673469387755102040816327,
-)
-
-
-@lru_cache(maxsize=1)
-def gauss_kronrod_15() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nested (7, 15) Gauss-Kronrod pair on (-1, 1): the 15 Kronrod
-    nodes ascending, their weights, and the 7 Gauss weights of the
-    odd-indexed nodes, ``nodes[1::2]``.  K15 is exact for polynomials of
-    degree 23 and below, G7 for degree 13 and below."""
-    x, wk, wg = (np.array(half) for half in (_QK15_X, _QK15_WK, _QK15_WG))
-    nodes = np.concatenate([-x[:-1], x[::-1]])
-    kronrod = np.concatenate([wk[:-1], wk[::-1]])
-    gauss = np.concatenate([wg[:-1], wg[::-1]])
-    for array in (nodes, kronrod, gauss):  # shared by every caller through the cache
-        array.setflags(write=False)
-    return nodes, kronrod, gauss

@@ -127,24 +127,28 @@ def trace_matrix(symbol: SymbolSpec, dim: int) -> tuple[complex, float]:
     return complex(value), symbol.base.diagonal_tail(symbol.alpha, symbol.beta, dim)
 
 
-def trace_berezin(symbol: SymbolSpec, tol: float = 1e-8) -> tuple[complex, float]:
+def trace_berezin(symbol: SymbolSpec) -> tuple[complex, float]:
     """Trace as the invariant-measure integral of the Berezin transform.
 
     The trace is linear in the symbol, so the integral is taken term by
     term: the sum of c times the integral of each nonzero term's transform,
     errors weighted by |c|, each on the circle rule the term states
     (``circle_rules``), which is exact for it: one node per circle for a
-    radial term at alpha = beta.  The sampler returns the transform's
-    values with their error bars (``_berezin_values``), which the integral
-    carries into its quadrature error, so the reported error is the sum of
-    the terms' integral errors and nothing else.
+    radial term at alpha = beta, and at the decay min(1, e + 1), e the
+    gate's exponent of the term's ``boundary_weight(alpha + beta + 2)``: its
+    transform vanishes like (1 - t)^(2 + min(e, 0)), with a logarithm at
+    e = 0.  The sampler returns the transform's values with their error
+    bars (``_berezin_values``), which the integral carries into its
+    quadrature error, so the reported error is the sum of the terms'
+    integral errors and nothing else.
     """
     ensure_trace_class(symbol)
     alpha, beta = symbol.alpha, symbol.beta
     values, error = [], 0.0
     for c, atom, centre, degree in symbol.base.circle_rules(alpha, beta):
         term = SymbolSpec(alpha, beta, atom)
-        result = invariant_integral(lambda z, term=term: _berezin_values(term, z), (centre, degree), tol)
+        decay = min(1.0, atom.boundary_weight(alpha + beta + 2)[1] + 1.0)
+        result = invariant_integral(lambda z, term=term: _berezin_values(term, z), (centre, degree), decay)
         values.append(c * result.value)
         error += abs(c) * result.est_error
     # from the first term, not from 0j, which would drop the sign of a zero
@@ -163,12 +167,13 @@ def trace_report(
     Agreement thresholds are absolute: closed-form vs matrix at 1e-8 plus
     the matrix tail and twice the closed route's bound, one for each
     value's rounding; any pair involving the quadrature route at 1e-5 plus
-    the reported error estimates.  ``tol`` is the Berezin route's.
+    the reported error estimates.  ``tol`` is checked to be finite and
+    positive and changes no number: no route reads a tolerance.
     """
     check_tol(tol)
     closed, closed_error = trace_closed_form(symbol)
     matrix_value, matrix_tail = trace_matrix(symbol, dim)
-    berezin_trace, berezin_err = trace_berezin(symbol, tol=tol)
+    berezin_trace, berezin_err = trace_berezin(symbol)
     ok = (
         abs(closed - matrix_value) <= MATRIX_CLOSED_TOL + matrix_tail + 2.0 * closed_error
         and abs(closed - berezin_trace) <= BEREZIN_TOL + berezin_err

@@ -34,7 +34,7 @@ from bergtoep.measures import (
     SymbolSpec,
     moment,
 )
-from bergtoep.numutil import gauss_kronrod_15, int_factorial
+from bergtoep.numutil import int_factorial
 from bergtoep.operators import assemble
 
 
@@ -345,6 +345,62 @@ def test_point_mass_bar_covers_the_conditioning_of_one_minus_conj_z_z0(z0, z):
                 assert abs(sample.value - ref) <= sample.est_error, (alpha, beta)
 
 
+@pytest.mark.parametrize("z0", [cmath.rect(0.5, 0.7), 0.95, 0.9999])
+def test_point_mass_bar_holds_against_mpmath_up_to_the_circle(z0):
+    # the relative term counted from the operations, with the t rounding and
+    # the conditioning of the gaps, at 50 digits and at the exact binary
+    # value of each z, unfenced out to |z| = 1 - 1e-12, near z0 too
+    import mpmath
+
+    radii = (0.0, 0.3, 0.9, 0.999, 0.9999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12)
+    points = [cmath.rect(r, a) for r in radii for a in (0.0, 1e-4, 0.7, 2.0, 3.5)]
+    points += [z0 * 0.9999999, z0 * (1.0 + 1e-7), z0 * cmath.exp(1e-6j)]
+    with mpmath.workdps(50):
+        w0 = mpmath.mpc(complex(z0).real, complex(z0).imag)
+        for alpha in range(4):
+            for beta in range(4):
+                values, bars = _berezin_values(SymbolSpec(alpha, beta, PointMass(z0)), np.array(points))
+                sign = (-1) ** (alpha + beta) * math.factorial(alpha + 1) * math.factorial(beta + 1)
+                for z, value, bar in zip(points, values, bars):
+                    w = mpmath.mpc(z.real, z.imag)
+                    t = w.real**2 + w.imag**2
+                    ref = (
+                        sign * mpmath.conj(w) ** alpha * w**beta * (1 - t) ** 2
+                        * (1 - mpmath.conj(w) * w0) ** -(2 + alpha) * (1 - w * mpmath.conj(w0)) ** -(2 + beta)
+                    )
+                    assert abs(value - ref) <= bar, (alpha, beta, z)
+
+
+def test_radial_power_bar_sums_the_sensitivity_to_t():
+    # S'(t) stays bounded as t -> 1 where s + 1 > m, and the bar's term for
+    # the rounding of t = |z|^2 is its first order summed from the nodes:
+    # 2.2e-10 relative here, where gamma_2 (deg P + m t/(1-t)) S gave 4.1e-9
+    import mpmath
+
+    z = 1.0 - 1e-6
+    sample = berezin_series(SymbolSpec(16, 16, RadialPower(40.0)), z)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(z) ** 2
+        ref = (math.factorial(17) ** 2 * t**16 * (1 - t) ** 2) * _radial_power_S_reference(16, 16, 40.0, 0.0, t)
+        assert abs(sample.value - ref) <= sample.est_error
+    assert sample.est_error <= 3e-10 * abs(sample.value)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0, 0), (1, 1), (2, 1), (3, 3)])
+@pytest.mark.parametrize("s", [4.0, 8.5])
+def test_radial_power_S_bar_holds_up_to_the_circle(alpha, beta, s):
+    # 50 digits, t from 0.5 to 1 - 1e-12; where s >= m S' is bounded and the
+    # bar stays near the rounding, 1e-13 relative, all the way
+    import mpmath
+
+    with mpmath.workdps(50):
+        for t in (0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12):
+            S, est = _radial_power_S(alpha, beta, s, 0.0, t)
+            assert abs(S[0] - _radial_power_S_reference(alpha, beta, s, 0.0, t)) <= est[0], t
+            if s >= alpha + beta + 3:
+                assert est[0] <= 1e-13 * S[0], t
+
+
 _FENCE_RADII = (0.0, 0.3, 0.6, 0.9, 0.99, 0.999, 1.0 - BOUNDARY_MARGIN)
 
 
@@ -466,27 +522,28 @@ def test_weighted_transform_rejects_non_integrable_weights():
 
 
 def test_invariant_integral_radial_polynomials():
-    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0), (0j, 0), 1e-8)
+    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0), (0j, 0), 1.0)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
-    assert r.boundary_tail > 0.0
-    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 3, 0.0), (0j, 0), 1e-8)
+    assert abs(r.value - 1.0) <= r.est_error and r.boundary_tail > 0.0
+    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 3, 0.0), (0j, 0), 1.0)
     assert r.value.real == pytest.approx(0.5, abs=1e-8)
+    assert abs(r.value - 0.5) <= r.est_error
 
 
 def test_invariant_integral_non_radial_kernel_norm():
     sampler = lambda z: ((1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, 0.0)
     # the point mass's transform at (0, 0): degree 1 on the rule mapped around 0.5
-    r = invariant_integral(sampler, (0.5, 1), 1e-8)
+    r = invariant_integral(sampler, (0.5, 1), 1.0)
     assert r.value.real == pytest.approx(16.0 / 9.0, abs=1e-7)
 
 
 def test_invariant_integral_linearity():
     f = lambda z: (1 - abs(z) ** 2) ** 2
     g = lambda z: (1 - abs(z) ** 2) ** 3
-    combined = invariant_integral(lambda z: (2.0 * f(z) + 3.0 * g(z), 0.0), (0j, 0), 1e-9)
+    combined = invariant_integral(lambda z: (2.0 * f(z) + 3.0 * g(z), 0.0), (0j, 0), 1.0)
     separate = (
-        2.0 * invariant_integral(lambda z: (f(z), 0.0), (0j, 0), 1e-9).value
-        + 3.0 * invariant_integral(lambda z: (g(z), 0.0), (0j, 0), 1e-9).value
+        2.0 * invariant_integral(lambda z: (f(z), 0.0), (0j, 0), 1.0).value
+        + 3.0 * invariant_integral(lambda z: (g(z), 0.0), (0j, 0), 1.0).value
     )
     assert combined.value == pytest.approx(separate, abs=1e-8)
 
@@ -517,8 +574,6 @@ def test_non_finite_points_are_outside_the_fence(z):
 def test_tolerances_must_be_finite_and_positive(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         weighted_berezin_radial((0.0, 0.0), 0, 0.3, tol=tol)
-    with pytest.raises(ValueError, match="finite and positive"):
-        invariant_integral(lambda z: (1.0, 0.0), (0j, 0), tol=tol)
 
 
 _BUFFER_BYTES = 16.0 * 4096 * 4096
@@ -599,55 +654,74 @@ def test_point_mass_transform_forms_both_gaps_from_one_product_bitwise(z0):
         assert value.tobytes() == reference.tobytes(), (alpha, beta)
 
 
-def test_gauss_kronrod_15_integrates_monomials_to_its_degree():
+# the rule's abscissae in v = ln(t/(1-t)), and its radii sqrt(t)
+_RULE_V = -37.0 + 0.25 * np.arange(285)
+_RULE_RADII = np.sqrt(1.0 / (1.0 + np.exp(-_RULE_V)))
+
+
+def _on_the_rule(f):
+    """A radial sampler whose circle average at each radius of the rule is
+    f(v) e^-v, f an mpmath function of v: the rounded t of a node keeps
+    only a few digits of 1 - t near v = 34, so v is read back from the
+    node and snapped to the rule's grid of step 1/4."""
     import mpmath
 
-    nodes, kronrod, gauss = gauss_kronrod_15()
-    assert nodes.shape == kronrod.shape == (15,) and gauss.shape == (7,)
-    assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0.0)
-    # the Gauss rule sits on the odd-indexed Kronrod nodes: those of leggauss(7)
-    x7, w7 = np.polynomial.legendre.leggauss(7)
-    eps = np.finfo(float).eps
-    assert np.allclose(nodes[1::2], x7, rtol=0.0, atol=eps)
-    assert np.allclose(gauss, w7, rtol=0.0, atol=2 * eps)
-    with mpmath.workdps(40):
-        def rule(x, w, k):  # the float rule summed exactly
-            return mpmath.fsum(mpmath.mpf(float(wi)) * mpmath.mpf(float(xi)) ** k for xi, wi in zip(x, w))
+    def sampler(z):
+        t = np.abs(z) ** 2
+        v = np.round((np.log(t) - np.log1p(-t)) * 4.0) / 4.0
+        return np.array([[complex(f(mpmath.mpf(x)) * mpmath.exp(-x)) for x in row] for row in v]), 0.0
 
-        for k in range(24):
-            exact = mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0
-            assert abs(rule(nodes, kronrod, k) - exact) <= 4 * eps * max(exact, 1), k
-            if k <= 13:
-                assert abs(rule(nodes[1::2], gauss, k) - exact) <= 4 * eps * max(exact, 1), k
-        # and no further: G7 misses x^14
-        assert abs(rule(nodes[1::2], gauss, 14) - mpmath.mpf(2) / 15) > 1e-4
+    return sampler
 
 
-def test_invariant_integral_panel_value_is_k15_and_estimate_k15_minus_g7():
-    # h = u^24 makes the panel integrand u^22 in u = 1 - |z|^2: K15 is exact
-    # on it, G7 is not, so the value is the integral over the panels to the
-    # rounding and quad_error is the sum of the G7 errors, panel by panel
-    r = invariant_integral(lambda z: ((1 - abs(z) ** 2) ** 24, 0.0), (0j, 0), 1e-8)
-    u_edge = 2.0 ** -r.panels
-    assert r.value.real == pytest.approx((1.0 - u_edge**23) / 23.0, rel=4e-16)
-    x7, w7 = np.polynomial.legendre.leggauss(7)
-    g7_error = 0.0
-    for j in range(r.panels):
-        lo, hi = 2.0 ** -(j + 1), 2.0**-j
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        g7_error += abs((hi**23 - lo**23) / 23.0 - half * np.dot(w7, (mid + half * x7) ** 22))
-    assert r.quad_error == pytest.approx(g7_error, rel=1e-6)
-    assert r.quad_error > 1e-9  # G7 alone would be this far off
+def test_invariant_integral_is_the_quarter_step_rule_with_the_half_step_gap():
+    # f(v) = exp(-(v/0.15)^2): the step 1/2 rule misses its integral
+    # 0.15 sqrt(pi) by ~3%, the step 1/4 rule by ~1e-6; the value is 1/4
+    # the sum over the rule, the quadrature error at least the gap between
+    # the two, and the bar covers the integral
+    import mpmath
+
+    f = lambda v: mpmath.exp(-((v / 0.15) ** 2))
+    r = invariant_integral(_on_the_rule(f), (0j, 0), 1.0)
+    terms = [float(f(mpmath.mpf(v))) for v in _RULE_V]
+    quarter, half = 0.25 * math.fsum(terms), 0.5 * math.fsum(terms[::2])
+    assert r.value.real == pytest.approx(quarter, rel=1e-15) and r.value.imag == 0.0
+    assert abs(quarter - half) <= r.quad_error <= abs(quarter - half) * (1.0 + 1e-12)
+    assert abs(r.value - 0.15 * math.sqrt(math.pi)) <= r.est_error
+    assert abs(half - 0.15 * math.sqrt(math.pi)) > 1e-3
+
+
+@pytest.mark.parametrize("rate, shift", [(1.0, 0.0), (1.0, -3.0), (1.0, -12.0), (0.3, 0.0), (0.05, 0.0)])
+def test_invariant_integral_tail_bounds_cover_the_cut_off_tails(rate, shift):
+    # f = t u^rate, and f = t u (ln(1/u) + shift) at rate 1, whose tail
+    # past v = 34 is f(34) (1 + 1/(34 + shift)): neither f(34)/rate nor, for
+    # shift < 0, f(34) (1 + 1/34) bounds it.  shift = -3 is the radial power
+    # s = 4 at (1, 1), whose transform is 24 t u (ln(1/u) - 3) to leading order
+    import mpmath
+
+    def f(v):
+        t, u = 1 / (1 + mpmath.exp(-v)), 1 / (1 + mpmath.exp(v))
+        return t * u**rate if rate != 1.0 else t * u * (shift - mpmath.log(u))
+
+    with mpmath.workdps(30):
+        r = invariant_integral(_on_the_rule(f), (0j, 0), rate)
+        below, above = (abs(mpmath.quad(f, edges)) for edges in ([-mpmath.inf, -37], [34, mpmath.inf]))
+        end = f(mpmath.mpf(34))
+    assert below + above <= r.boundary_tail <= (below + above) * (1.0 + 2.0 / 34.0)
+    if rate == 1.0:
+        assert end / rate < above
+    if shift < 0.0:
+        assert end * (1.0 + 1.0 / 34.0) < above
 
 
 @pytest.mark.parametrize("circle", [(0j, 0), (0j, 3), (0.5j, 1)])
 def test_invariant_integral_adds_the_samples_error_bars_through_its_weights(circle):
     # a bar of 1e-6 |f| at every sample adds 1e-6 times the integral of |f|,
-    # here of f itself, positive: the circle and K15 weights are positive
+    # here of f itself, positive: the circle and trapezoid weights are positive
     f = lambda z: (1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5j) ** -4
-    exact = invariant_integral(lambda z: (f(z), 0.0), circle, 1e-8)
-    barred = invariant_integral(lambda z: (f(z), 1e-6 * f(z)), circle, 1e-8)
-    assert barred.value == exact.value and barred.panels == exact.panels
+    exact = invariant_integral(lambda z: (f(z), 0.0), circle, 1.0)
+    barred = invariant_integral(lambda z: (f(z), 1e-6 * f(z)), circle, 1.0)
+    assert barred.value == exact.value
     assert barred.quad_error - exact.quad_error == pytest.approx(1e-6 * exact.value.real, rel=1e-9)
 
 
@@ -663,24 +737,14 @@ class _RecordingSampler:
         return self.f(z)
 
 
-def _mesh_radii():
-    """The 720 radii of the invariant integral's 48 Kronrod panels, panel
-    by panel."""
-    nodes = gauss_kronrod_15()[0]
-    edges = 2.0 ** -np.arange(49.0)
-    mids, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[:-1] - edges[1:])
-    return np.sqrt(1.0 - (mids[:, None] + halves[:, None] * nodes)).ravel()
-
-
 def test_invariant_integral_radial_hint_samples_the_mesh_in_one_call():
     # degree 0 about centre 0: one node per circle, z = r on the real axis
     sampler = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0))
-    r = invariant_integral(sampler, (0j, 0), 1e-8)
+    r = invariant_integral(sampler, (0j, 0), 1.0)
     assert r.value.real == pytest.approx(1.0, abs=1e-8)
     (z,) = sampler.batches
-    assert isinstance(z, np.ndarray) and z.shape == (720, 1) and r.samples == 720
-    assert z.ravel().tobytes() == _mesh_radii().astype(complex).tobytes()
-    assert 4 <= r.panels < 48
+    assert isinstance(z, np.ndarray) and z.shape == (285, 1) and r.samples == 285
+    assert z.ravel().tobytes() == _RULE_RADII.astype(complex).tobytes()
 
 
 # a trigonometric polynomial of degree 63 averages exactly on 64 nodes
@@ -690,16 +754,16 @@ def _degree_63(z):
 
 
 def test_invariant_integral_samples_each_circle_once_at_its_degree():
-    # the plain rule's 64 nodes on all 720 circles in one call, the first
+    # the plain rule's 64 nodes on all 285 circles in one call, the first
     # node of each on the radii that degree 0 samples
     sampler = _RecordingSampler(_degree_63)
-    r = invariant_integral(sampler, (0j, 63), 1e-8)
+    r = invariant_integral(sampler, (0j, 63), 1.0)
     radial = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2 * (1.0 + abs(z) ** 10), 0.0))
-    oracle = invariant_integral(radial, (0j, 0), 1e-8)
+    oracle = invariant_integral(radial, (0j, 0), 1.0)
     (z,) = sampler.batches
-    assert z.shape == (720, 64) and r.samples == 720 * 64
+    assert z.shape == (285, 64) and r.samples == 285 * 64
     assert np.array_equal(z[:, 0], radial.batches[0].ravel())
-    assert r.panels == oracle.panels and abs(r.value - oracle.value) <= 1e-13
+    assert abs(r.value - oracle.value) <= 1e-13
 
 
 @pytest.mark.parametrize(
@@ -710,95 +774,28 @@ def test_invariant_integral_samples_each_circle_once_at_its_degree():
 def test_invariant_integral_rejects_a_bad_circle_rule_before_sampling(circle):
     sampler = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0))
     with pytest.raises(ValueError, match="circle rule"):
-        invariant_integral(sampler, circle, 1e-8)
+        invariant_integral(sampler, circle, 1.0)
+    assert sampler.batches == []
+
+
+@pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_invariant_integral_rejects_a_bad_decay_before_sampling(decay):
+    sampler = _RecordingSampler(lambda z: ((1 - abs(z) ** 2) ** 2, 0.0))
+    with pytest.raises(ValueError, match="decay rate must be finite and positive"):
+        invariant_integral(sampler, (0j, 0), decay)
     assert sampler.batches == []
 
 
 def test_invariant_integral_fails_on_a_divergent_boundary():
-    # h = 1 - |z|^2 makes every panel ln 2: no panel stops the sum and the
-    # last panels' means grow like 1/u.  The sampled 1 - |z|^2 keeps only a
-    # few digits of u on the last panels, where u nears 2^-48
-    with pytest.raises(NumericalFailureError, match="panel budget exhausted") as info:
-        invariant_integral(lambda z: (1 - abs(z) ** 2, 0.0), (0j, 0), 1e-8)
-    assert info.value.partial == pytest.approx(48 * math.log(2.0), rel=1e-3)
-    assert info.value.achieved > 0.0
-
-
-def _panel_by_panel(sampler, circle, tol):
-    """The invariant integral sampled one panel at a time, each on the
-    stated circle rule, the stop rule read as each panel is summed: the
-    whole-mesh sampling must give the same numbers to the bit.  The
-    samples' error bars go through the same positive weights as their
-    values, and their sum over the panels is added to quad_error."""
-    nodes, w15, w7 = gauss_kronrod_15()
-    centre, degree = circle
-    n = 1 << degree.bit_length()
-    panels, quad_error, means, converged, sample_errors = [], 0.0, [], False, []
-    for j in range(48):
-        u_hi, u_lo = 2.0**-j, 2.0 ** -(j + 1)
-        mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
-        u = mid + half * nodes
-        z, weights = _circle_rule(np.sqrt(1.0 - u), centre, n, np.arange(n))
-        v, e = sampler(z)
-        v = np.broadcast_to(np.asarray(v, dtype=complex), z.shape)
-        e = np.broadcast_to(np.asarray(e, dtype=float), z.shape)
-        h = (v if weights is None else weights * v).sum(axis=1) / n
-        bar = (e if weights is None else weights * e).sum(axis=1) / n
-        vals = h / u**2
-        p15, p7 = half * complex(np.dot(w15, vals)), half * complex(np.dot(w7, vals[1::2]))
-        panels.append(p15)
-        sample_errors.append(half * float(np.dot(bar / u**2, w15)))
-        quad_error += abs(p15 - p7)
-        means.append((mid, abs(p15) / (2.0 * half)))
-        if j >= 3 and abs(p15) < tol / 10.0:
-            converged = True
-            break
-    (u2, h2), (u1, h1) = means[-2:]
-    exponent = math.log(h1 / h2) / math.log(u1 / u2) if h1 > 0.0 and h2 > 0.0 else 0.0
-    assert converged or exponent > -0.95
-    exponent = min(max(exponent, -0.95), 8.0)
-    h_edge = h1 * (u_lo / u1) ** exponent if h1 > 0.0 else 0.0
-    value = complex(math.fsum(p.real for p in panels), math.fsum(p.imag for p in panels))
-    quad_error += float(np.sum(sample_errors))
-    return value, quad_error, 3.0 * h_edge * u_lo / (1.0 + exponent), len(panels)
-
-
-def _transform(alpha, beta, base):
-    symbol = SymbolSpec(alpha, beta, base)
-    return lambda z: _berezin_values(symbol, z)
-
-
-_Z0 = cmath.rect(0.9, 0.7)
-
-
-@pytest.mark.parametrize(
-    "sampler,circle,panels",
-    [
-        (lambda z: ((1 - abs(z) ** 2) ** 2 * abs(1 - z.conjugate() * 0.5) ** -4, 0.0), (0.5, 1), None),
-        (_transform(2, 1, PointMass(_Z0)), (_Z0, 3), None),
-        (_transform(1, 1, RadialPower(s=4.0)), (0j, 0), None),
-        (_transform(0, 0, CircleRadialDerivative(0.6)), (0j, 0), None),
-        (lambda z: ((1 - abs(z) ** 2) ** 24, 0.0), (0j, 0), 4),
-        (lambda z: ((1 - abs(z) ** 2) ** 24 * (1.0 + z**3), 0.0), (0j, 3), 4),
-        (lambda z: ((1 - abs(z) ** 2) ** 24 * abs(1 - z.conjugate() * 0.5j) ** -4, 0.0), (0.5j, 1), 4),
-    ],
-    ids=["kernel-norm", "point-mapped", "radial-power", "circle-deriv", "stop-3-radial", "stop-3-plain",
-         "stop-3-mapped"],
-)
-def test_whole_mesh_sampling_matches_the_panel_by_panel_loop_bitwise(sampler, circle, panels):
-    value, quad_error, tail, used = _panel_by_panel(sampler, circle, 1e-8)
-    r = invariant_integral(sampler, circle, 1e-8)
-    assert (r.value, r.quad_error, r.boundary_tail, r.panels) == (value, quad_error, tail, used)
-    assert str(r.value) == str(value)  # the signs of zeros too
-    assert panels is None or r.panels == panels
-    if panels is not None:
-        # what the sampler returns past the stop panel, values or bars, is never read
-        def spoil(z):
-            past = 1 - abs(z) ** 2 < 1 / 32
-            return tuple(np.where(past, np.nan, out) for out in sampler(z))
-
-        spoiled = invariant_integral(spoil, circle, 1e-8)
-        assert spoiled == r
+    # h = 1 - |z|^2 makes f = t, which tends to 1: at a slow stated decay the
+    # bound on the tail past v = 34 exceeds the sampled mass, the rule's sum
+    # ln(1 + e^34) + f(34)/8 read from the sampled 1 - |z|^2, which keeps
+    # only a few digits of u near v = 34
+    for decay in (1e-2, 1e-3):
+        with pytest.raises(NumericalFailureError, match="tail bound") as info:
+            invariant_integral(lambda z: (1 - abs(z) ** 2, 0.0), (0j, 0), decay)
+        assert 34.0 < info.value.partial.real < 34.25
+        assert info.value.achieved > 1.0 / decay
 
 
 @pytest.mark.parametrize("alpha,beta", [(0, 0), (1, 1), (2, 1), (3, 2), (0, 7), (16, 16), (20, 12)])

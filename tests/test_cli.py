@@ -317,6 +317,7 @@ def test_non_finite_numbers_are_usage_errors(capsys, argv):
         ("spectrum", "--symbol", POINT, "--dim", "8"),
         ("carleson", "--symbol", POINT, "--k", "1"),
         ("berezin", "--symbol", POINT, "--dim", "8", "--z=0.3"),
+        ("trace", "--symbol", POINT, "--dim", "8"),
     ],
 )
 def test_commands_that_read_no_tolerance_reject_tol(capsys, argv):
@@ -384,8 +385,9 @@ def test_float_overflow_is_a_numerical_failure(capsys, argv):
 
 
 def test_numerical_failure_reports_its_partial_value_and_achieved_accuracy(capsys):
-    # s = 1.01 integrates, but the Berezin integral's boundary looks divergent
-    # within its 48 panels: exit 2 with how far the integral got
+    # s = 1.01 integrates, but its Berezin integrand decays like (1 - t)^0.01:
+    # the bound on the tail past 1 - t = 1.7e-15 exceeds the sampled mass,
+    # exit 2 with how far the integral got
     symbol = '{"alpha":0,"beta":0,"measure":{"kind":"radial_power","s":1.01}}'
     code, out, err = run(capsys, "trace", "--symbol", symbol, "--dim", "64")
     assert (code, out) == (2, "")

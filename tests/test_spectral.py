@@ -10,6 +10,7 @@ import json
 import math
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,12 +270,12 @@ def _recording_integral(monkeypatch):
     batches = []
     original = spectral.invariant_integral
 
-    def recording(sampler, circle, tol):
+    def recording(sampler, circle, decay):
         def record(z):
             batches.append(z)
             return sampler(z)
 
-        return original(record, circle, tol)
+        return original(record, circle, decay)
 
     monkeypatch.setattr(spectral, "invariant_integral", recording)
     return batches
@@ -297,13 +298,13 @@ def test_trace_berezin_origin_point_mass_takes_the_radial_hint(monkeypatch, alph
 @pytest.mark.parametrize("z0", [0.3j, cmath.rect(0.4, 0.7), -0.5])
 def test_trace_berezin_point_mass_off_the_circle_is_one_sampler_call(monkeypatch, alpha, beta, z0):
     # the circle rule mapped around z0 is exact at its stated degree: one
-    # call over the whole mesh, the smallest power of two above it per circle
+    # call over the 285 radii, the smallest power of two above it per circle
     batches = _recording_integral(monkeypatch)
     symbol = SymbolSpec(alpha, beta, PointMass(z0))
     value, err = trace_berezin(symbol)
     closed, _ = trace_closed_form(symbol)
     (z,) = batches
-    assert z.shape == (720, 1 << (1 + max(alpha, beta)).bit_length())
+    assert z.shape == (285, 1 << (1 + max(alpha, beta)).bit_length())
     assert abs(value - closed) <= err
 
 
@@ -339,6 +340,62 @@ def _point_mass_diagonal_sums(z0, orders):
             phase = z / abs(z)
             sums[(a, b)] = complex((-1) ** (a + b) * total * abs(z) ** -(a + b) * phase ** (b - a))
         return sums
+
+
+def _radial_diagonal_sums(alpha):
+    """The diagonal (p + alpha + 1) ((p + alpha)!/p!)^2 of a rotation-invariant
+    kind at (alpha, alpha), per unit moment M(p), as the sum of d_k (p+1)_k
+    over k, the d_k exact rationals: its power series in x is then the sum
+    of d_k k!/(1-x)^(k+1) in closed form, with no quadrature near x = 1."""
+    diagonal = lambda p: (p + alpha + 1) * math.prod(p + k for k in range(1, alpha + 1)) ** 2
+    rising = lambda p, k: math.prod(p + i for i in range(1, k + 1))
+    d = []
+    for j in range(2 * alpha + 2):  # at p = -1 - j the rising factorials past k = j vanish
+        d.append(Fraction(diagonal(-1 - j) - sum(dk * rising(-1 - j, k) for k, dk in enumerate(d)), rising(-1 - j, j)))
+    return d
+
+
+def _berezin_route_oracle(base, alpha, beta):
+    """The trace at 50 digits: for a radial power, (1-x)^s integrated
+    against the diagonal's power series, the sum of d_k k!/(s - k) (mpmath's
+    quadrature of the polylog form errs 1.4e-11 at s = 3.2, (1, 1)); for
+    the circle that series at r0^2; -4 r0/(1-r0^2)^3 for the circle
+    derivative; the point mass's diagonal sum."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        if isinstance(base, PointMass):
+            return _point_mass_diagonal_sums(base.z0, [(alpha, beta)])[(alpha, beta)]
+        if isinstance(base, CircleRadialDerivative):
+            r0 = mpmath.mpf(base.r0)
+            return complex(-4 * r0 / (1 - r0**2) ** 3)
+        terms = [mpmath.mpf(d.numerator) / d.denominator * math.factorial(k) for k, d in enumerate(_radial_diagonal_sums(alpha))]
+        if isinstance(base, CircleUniform):
+            y = 1 - mpmath.mpf(base.r0) ** 2
+            return complex(mpmath.fsum(term / y ** (k + 1) for k, term in enumerate(terms)))
+        return complex(mpmath.fsum(term / (mpmath.mpf(base.s) - k) for k, term in enumerate(terms)))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, base",
+    [
+        (0, 0, RadialPower(1.3)),
+        (1, 1, RadialPower(3.2)),
+        (1, 1, RadialPower(4.0)),
+        (3, 3, RadialPower(8.5)),
+        (3, 3, CircleUniform(0.9)),
+        (0, 0, CircleRadialDerivative(0.6)),
+        (2, 1, PointMass(cmath.rect(0.5, 0.7))),
+    ],
+    ids=["radial-1.3", "radial-3.2", "radial-4", "radial-8.5", "circle-0.9", "circle-deriv", "point-21"],
+)
+def test_trace_berezin_within_its_bar_of_mpmath(alpha, beta, base):
+    # the trapezoid rule's bar: the half-step gap, the samples' bars, the
+    # rounding, and the cut-off tails at the rate the gate's exponent
+    # states.  s = 1.3 at (0, 0) decays at rate 0.3 and its tail bound is
+    # most of its bar: its error is 0.6 of the bar, so half the bar fails
+    value, err = trace_berezin(SymbolSpec(alpha, beta, base))
+    assert abs(value - _berezin_route_oracle(base, alpha, beta)) <= err
 
 
 @pytest.mark.parametrize(
@@ -384,7 +441,7 @@ def test_trace_berezin_bar_covers_the_closed_form_on_the_trace_workload(family):
 def test_trace_berezin_bar_of_radial_power_is_below_the_old_padding():
     # (alpha+1)!(beta+1)! tol/10 = 4e-9 alone once padded this bar; every
     # sampled transform is now within ~1e-13 relative and carries its own bar
-    value, err = trace_berezin(SymbolSpec(1, 1, RadialPower(s=4.0)), tol=1e-8)
+    value, err = trace_berezin(SymbolSpec(1, 1, RadialPower(s=4.0)))
     assert abs(value - 4.0) <= err < 4e-9
 
 
