@@ -40,10 +40,8 @@ from .errors import BoundaryError, NumericalFailureError
 from .numutil import (
     beta_integral,
     check_integer,
-    check_tol,
     falling_factorial,
     int_factorial,
-    ratio_series,
 )
 
 __all__ = [
@@ -283,40 +281,50 @@ def berezin_matrix(op, z: complex) -> BerezinSample:
     return BerezinSample(z=z, value=value, route="matrix", est_error=est)
 
 
-def weighted_berezin_radial(
-    f_spec: tuple[float, float], alpha: int, z: complex, tol: float = 1e-10
-) -> complex:
+# the weighted transform's term cap: near the 1 - 1e-6 fence its terms
+# fall too slowly to meet the rounding level within it
+_WEIGHTED_TERM_CAP = 100_000
+
+
+def weighted_berezin_radial(f_spec: tuple[float, float], alpha: int, z: complex) -> complex:
     """Berezin transform, on the weight-alpha Bergman space, of the radial
     function f(w) = (1 - |w|^2)^m_exp |w|^(2 a_exp), evaluated at z.
 
     B_alpha(f)(z) = (alpha+1) (1-|z|^2)^(2+alpha)
                     sum_p binom(p+alpha+1, p)^2 |z|^(2p) *
                     B(p + a_exp + 1, m_exp + alpha + 1).
+
+    The positive terms are summed until the tail bound
+    term_p rho_p / (1 - rho_p), rho_p = |z|^2 ((p+alpha+2)/(p+1))^2, is
+    within the unit roundoff of the running sum: every later term ratio is
+    at most rho_p, since ((q+alpha+2)/(q+1))^2 falls with q for alpha > -1
+    and the Beta ratio (q+a_exp+1)/(q+a_exp+m_exp+alpha+2) is below 1.
     """
-    check_tol(tol)
     m_exp, a_exp = f_spec
-    if not alpha > -1.0:  # NaN fails every comparison
-        raise ValueError("weighted Bergman space A^2_alpha needs alpha > -1")
-    if not m_exp + alpha > -1.0:
-        raise ValueError("weighted transform needs m_exp + alpha > -1")
-    if not a_exp > -1.0:
-        raise ValueError("weighted transform needs a_exp > -1")
+    # NaN fails every comparison, and +inf the upper one
+    if not -1.0 < alpha < math.inf:
+        raise ValueError("weighted Bergman space A^2_alpha needs finite alpha > -1")
+    if not -1.0 < m_exp + alpha < math.inf:
+        raise ValueError("weighted transform needs finite m_exp with m_exp + alpha > -1")
+    if not -1.0 < a_exp < math.inf:
+        raise ValueError("weighted transform needs finite a_exp > -1")
     z = complex(z)
     _check_fence(z)
     t = (z * z.conjugate()).real
-    first = beta_integral(a_exp + 1.0, m_exp + alpha + 1.0)
-    t_row = np.array([t])
-
-    def ratio_at(p: int, rows: np.ndarray) -> np.ndarray:
-        return (
-            ((p + alpha + 2.0) / (p + 1.0)) ** 2
-            * t_row[rows]
-            * (p + a_exp + 1.0)
-            / (p + a_exp + m_exp + alpha + 2.0)
-        )
-
-    series, _ = ratio_series([first], ratio_at, tol, ratio_sup=t)
-    return complex((alpha + 1.0) * (1.0 - t) ** (2 + alpha) * float(series[0]))
+    scale = (alpha + 1.0) * (1.0 - t) ** (2 + alpha)
+    term = beta_integral(a_exp + 1.0, m_exp + alpha + 1.0)
+    terms, running = [], 0.0
+    for p in range(_WEIGHTED_TERM_CAP):
+        terms.append(term)
+        running += term
+        rho = t * ((p + alpha + 2.0) / (p + 1.0)) ** 2
+        if rho < 1.0 and term * rho <= _U * (1.0 - rho) * running:
+            return complex(scale * math.fsum(terms))
+        term *= rho * (p + a_exp + 1.0) / (p + a_exp + m_exp + alpha + 2.0)
+    raise NumericalFailureError(
+        f"weighted transform did not converge within {_WEIGHTED_TERM_CAP} terms",
+        partial=scale * math.fsum(terms),
+    )
 
 
 # the invariant integral's trapezoid rule in v = ln(t/(1-t)): step 1/4 over

@@ -4,12 +4,12 @@ Symbol JSON schema (strict; unknown keys are rejected to catch typos):
 
     {"alpha": int, "beta": int, "measure": {"kind": ..., ...}}
 
-with measure kinds
-    radial_power              {"s": float, "a": float (default 0)}
-    point_mass                {"re": float, "im": float (default 0)}
-    circle_uniform            {"r0": float}
-    circle_radial_derivative  {"r0": float}
-    combination               {"terms": [{"coeff_re": f, "coeff_im": f,
+with measure kinds, every field a JSON number (never a bool or a string)
+    radial_power              {"s": number, "a": number (default 0)}
+    point_mass                {"re": number, "im": number (default 0)}
+    circle_uniform            {"r0": number}
+    circle_radial_derivative  {"r0": number}
+    combination               {"terms": [{"coeff_re": number, "coeff_im": number,
                                           "measure": {...}}, ...]}
 
 Exit codes: 0 success, 1 usage or config error, 2 numerical failure or

@@ -53,6 +53,13 @@ def _sign(alpha: int, beta: int) -> float:
     return -1.0 if (alpha + beta) % 2 else 1.0
 
 
+def _number(value) -> float:
+    """A measure config's JSON number as a float; a bool or a string raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"measure fields must be JSON numbers, got {value!r}")
+    return float(value)
+
+
 def _t_rounding(t: np.ndarray) -> np.ndarray:
     """Relative error of the (1-t)^2 every kind's transform carries, from
     the rounding of t = |z|^2: 2 eps/(1-t), one term for every bar."""
@@ -329,7 +336,8 @@ class _Atom:
 
     @classmethod
     def from_config(cls, obj: dict):
-        return cls(*(float(obj[name]) for name in cls.config_fields))
+        # an absent field takes its dataclass default
+        return cls(**{name: _number(obj[name]) for name in cls.config_fields if name in obj})
 
 
 class _Radial(_Atom):
@@ -382,10 +390,6 @@ class RadialPower(_Radial):
             raise ValueError(f"radial power weight needs finite s > -1, got s={self.s}")
         if not (-1.0 < self.a < math.inf):
             raise ValueError(f"radial power weight needs finite a > -1, got a={self.a}")
-
-    @classmethod
-    def from_config(cls, obj: dict):
-        return cls(s=float(obj["s"]), a=float(obj.get("a", 0.0)))
 
     def radial_moment(self, p: int) -> float:
         return beta_integral(p + self.a + 1.0, self.s + 1.0)
@@ -470,7 +474,7 @@ class PointMass(_Atom):
 
     @classmethod
     def from_config(cls, obj: dict):
-        return cls(complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0))))
+        return cls(complex(_number(obj.get("re", 0.0)), _number(obj.get("im", 0.0))))
 
     def moment(self, p: int, q: int) -> complex:
         return self.z0**p * self.z0.conjugate() ** q
@@ -717,7 +721,7 @@ class Combination:
                 raise ValueError("combination terms carry coeff_re, coeff_im, measure")
             parsed.append(
                 (
-                    complex(float(term.get("coeff_re", 0.0)), float(term.get("coeff_im", 0.0))),
+                    complex(_number(term.get("coeff_re", 0.0)), _number(term.get("coeff_im", 0.0))),
                     measure_from_config(term["measure"]),
                 )
             )
@@ -748,7 +752,7 @@ def measure_from_config(obj) -> BaseMeasure:
         return cls.from_config(obj)
     except KeyError as exc:
         raise ValueError(f"measure kind {kind!r} is missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"invalid measure config: {exc}") from exc
 
 

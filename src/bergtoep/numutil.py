@@ -1,19 +1,11 @@
-"""Small numerical helpers: the Beta integral with its rounding bound,
-falling factorials, and the ratio-series summer with its geometric tail
-bound."""
+"""Small numerical helpers: argument checks, the Beta integral with its
+rounding bound, and falling factorials."""
 
 from __future__ import annotations
 
 import math
 import numbers
 import sys
-from typing import Callable
-
-import numpy as np
-
-from .errors import NumericalFailureError
-
-SERIES_TERM_CAP = 100_000
 
 
 def check_tol(tol: float) -> None:
@@ -66,50 +58,3 @@ def falling_factorial(m: int, k: int) -> float:
 def int_factorial(k: int) -> float:
     """k! built by multiplication (k is small, order of a derivative)."""
     return falling_factorial(k, k)
-
-
-def ratio_series(first, ratio_at: Callable, tol: float, ratio_sup=0.0):
-    """Sum positive-ratio series row by row with a term-ratio geometric tail bound.
-
-    ``first`` holds each row's first term and ``ratio_at(p, rows)`` maps the
-    index p to term(p+1)/term(p) for the listed rows; ``ratio_sup`` (a
-    scalar or one value per row) is the limiting ratio the terms approach.
-    The tail is bounded geometrically with the larger of the two, which
-    stays valid when the ratio sequence dips below its limit before rising
-    back.  Each row stops at the first term where its own bound meets
-    ``tol``, so it sums the same terms whatever else shares the batch.
-    Returns (sums, tail_bounds).
-    """
-    term = np.array(first, dtype=float).ravel()
-    size = term.size
-    sums = np.empty(size)
-    tails = np.empty(size)
-    rows = np.arange(size)
-    sup = np.broadcast_to(np.asarray(ratio_sup, dtype=float), (size,))
-    acc = np.zeros(size)
-    comp = np.zeros(size)
-    p = 0
-    while rows.size:
-        if p >= SERIES_TERM_CAP:
-            raise NumericalFailureError(
-                f"series did not converge within {SERIES_TERM_CAP} terms",
-                partial=float(acc[0] + comp[0]),
-            )
-        # Neumaier-compensated running sum, row by row
-        total = acc + term
-        comp += np.where(np.abs(acc) >= np.abs(term), (acc - total) + term, (term - total) + acc)
-        acc = total
-        ratio = ratio_at(p, rows)
-        rho = np.maximum(ratio, sup)
-        below = rho < 1.0
-        tail = np.where(below, np.abs(term) * rho / np.where(below, 1.0 - rho, 1.0), np.inf)
-        done = tail <= tol
-        if done.any():
-            sums[rows[done]] = acc[done] + comp[done]
-            tails[rows[done]] = tail[done]
-            keep = ~done
-            rows, term, acc, comp = rows[keep], term[keep], acc[keep], comp[keep]
-            ratio, sup = ratio[keep], sup[keep]
-        term = term * ratio
-        p += 1
-    return sums, tails

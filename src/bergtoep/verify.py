@@ -161,7 +161,7 @@ def _run_identity_case(case: OracleCase) -> tuple[tuple[dict, ...], float | None
                 * int_factorial(alpha + 1)
                 * t**alpha
                 * (1.0 - t) ** (-alpha)
-                * weighted_berezin_radial((2.0 * k - alpha, 0.0), alpha, z, tol=1e-12)
+                * weighted_berezin_radial((2.0 * k - alpha, 0.0), alpha, z)
             )
             dev = abs(lhs - rhs)
             rows.append(

@@ -508,17 +508,50 @@ def test_weighted_transform_identity_with_diagonal_symbol():
             * int_factorial(alpha + 1)
             * t**alpha
             * (1 - t) ** -alpha
-            * weighted_berezin_radial((2.0 * k - alpha, 0.0), alpha, z, tol=1e-12)
+            * weighted_berezin_radial((2.0 * k - alpha, 0.0), alpha, z)
         )
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_weighted_transform_rejects_non_integrable_weights():
     # A^2_alpha needs alpha > -1, and the weight (1-|w|^2)^m_exp needs
-    # m_exp + alpha > -1
-    for f_spec, alpha in [((-1.5, 0.0), 0), ((3.0, 0.0), -1), ((3.0, 0.0), -2), ((3.0, 0.0), math.nan)]:
+    # m_exp + alpha > -1; a non-finite input is rejected before any term
+    for f_spec, alpha in [
+        ((-1.5, 0.0), 0),
+        ((3.0, 0.0), -1),
+        ((3.0, 0.0), -2),
+        ((3.0, 0.0), math.nan),
+        ((math.inf, 0.0), 0),
+        ((0.0, math.inf), 0),
+        ((0.0, 0.0), math.inf),
+    ]:
+        start = time.perf_counter()
         with pytest.raises(ValueError):
-            weighted_berezin_radial(f_spec, alpha, 0.3)
+            weighted_berezin_radial(f_spec, alpha, 0.5)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("alpha", [0, 0.5, 1, 3])
+def test_weighted_transform_matches_mpmath_hypergeometric(alpha):
+    # (alpha+1) (1-t)^(2+alpha) B(a+1, m+alpha+1)
+    #   3F2(alpha+2, alpha+2, a+1; 1, a+m+alpha+2; t) at 50 digits; the term
+    # ratios approach t from above when m_exp < alpha + 1 and from below
+    # when m_exp > alpha + 1
+    import mpmath
+
+    pairs = [(-0.5, 0.0), (0.0, 0.0), (0.3, -0.5), (1.0, 0.0), (2.5, 0.5), (4.0, 0.0), (6.0, 2.0)]
+    with mpmath.workdps(50):
+        for m_exp, a_exp in pairs:
+            for z in (0.0, 0.3, 0.6, 0.3 + 0.5j, 0.8j, 0.9, 0.95, 0.99):
+                t = mpmath.mpf(abs(z)) ** 2
+                exact = (
+                    (alpha + 1)
+                    * (1 - t) ** (2 + alpha)
+                    * mpmath.beta(a_exp + 1, m_exp + alpha + 1)
+                    * mpmath.hyp3f2(alpha + 2, alpha + 2, a_exp + 1, 1, a_exp + m_exp + alpha + 2, t)
+                )
+                value = weighted_berezin_radial((m_exp, a_exp), alpha, z)
+                assert abs(value - complex(exact)) <= 1e-13 * abs(exact), (m_exp, a_exp, z)
 
 
 def test_invariant_integral_radial_polynomials():
@@ -568,12 +601,6 @@ def test_non_finite_points_are_outside_the_fence(z):
         weighted_berezin_radial((0.0, 0.0), 0, z)
     with pytest.raises(BoundaryError):
         d_alpha_beta_eval(z, 1, 1)
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
-def test_tolerances_must_be_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="finite and positive"):
-        weighted_berezin_radial((0.0, 0.0), 0, 0.3, tol=tol)
 
 
 _BUFFER_BYTES = 16.0 * 4096 * 4096

@@ -286,8 +286,6 @@ POINT = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.3,"im":0}}'
         ("berezin", "--symbol", POINT, "--z=nan"),
         ("berezin", "--symbol", POINT, "--z=0.3+nani"),
         ("berezin", "--symbol", POINT, "--z=1e400"),
-        ("trace", "--symbol", POINT, "--tol", "nan"),
-        ("trace", "--symbol", POINT, "--tol", "inf"),
         ("spectrum", "--symbol", POINT, "--dim", "8", "--rank-tol", "nan"),
         ("spectrum", "--symbol", POINT, "--dim", "8", "--rank-tol=-inf"),
     ]
@@ -301,6 +299,21 @@ POINT = '{"alpha":1,"beta":1,"measure":{"kind":"point_mass","re":0.3,"im":0}}'
             '"measure":{"kind":"point_mass","re":0.3}}]}}',
         )
         for command, *extra in (("trace",), ("berezin", "--z=0.3"), ("spectrum", "--dim", "8"), ("carleson", "--k", "1"))
+    ]
+    # measure fields are JSON numbers: no bools, no strings, no int past the float range
+    + [
+        ("trace", "--symbol", '{"alpha":1,"beta":1,"measure":{"kind":"%s",%s}}' % kind_fields)
+        for kind_fields in (
+            ("radial_power", '"s":true'),
+            ("radial_power", '"s":4,"a":"0"'),
+            ("circle_uniform", '"r0":"0.5"'),
+            ("circle_radial_derivative", '"r0":true'),
+            ("point_mass", '"re":false'),
+            ("point_mass", '"re":0.3,"im":"0"'),
+            ("radial_power", '"s":1' + "0" * 400),
+            ("combination", '"terms":[{"coeff_re":true,"measure":{"kind":"point_mass","re":0.3}}]'),
+            ("combination", '"terms":[{"coeff_im":"1","measure":{"kind":"point_mass","re":0.3}}]'),
+        )
     ],
 )
 def test_non_finite_numbers_are_usage_errors(capsys, argv):

@@ -23,7 +23,6 @@ from bergtoep.measures import RadialPower, SymbolSpec
 _SYMBOL = SymbolSpec(1, 1, RadialPower(s=4.0))
 
 _OTHER_ARGS = {
-    "bergtoep.berezin.weighted_berezin_radial": ((2.0, 0.0), 1, 0.5),
     "bergtoep.spectral.trace_report": (_SYMBOL,),
 }
 
