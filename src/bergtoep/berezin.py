@@ -7,7 +7,10 @@ normalized kernel, to
     S(z) = sum over p, q of binom(p+a+1, p) binom(q+b+1, q)
            conj(z)^p z^q M(p, q),
 
-with M the monomial moments of the base measure.  The orders are integers,
+with M the monomial moments of the base measure.  Each measure kind's
+``berezin`` returns S with S's own error bar, and ``_berezin_values``
+alone applies the prefactor and bounds its rounding, relative to the
+value.  The orders are integers,
 so 2F1(alpha+2, beta+2; 1; y) is, by Euler's transformation, a polynomial
 over a power of 1 - y.  The point mass, the uniform circle (S is that 2F1
 at y = |z|^2 r0^2) and its radial derivative have closed forms with
@@ -187,7 +190,9 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
         partials[i : i + rows] = h * np.cumsum(partial, axis=0)[-1]
         # t S'(t) = h sum f (t x P'(t x)/P(t x) + m t x/(1 - t x)), where t x P'/P <= deg P
         # and t x/(1 - t x) = t/(eps (1 + e^v))
-        sensitivity[i : i + rows] = h * (deg * partial[-1] + m * tc / eps * (f / one_e).sum(axis=0))
+        # column-major, so that each column sums in one order whatever the batch width
+        weighted = np.divide(f, one_e, out=np.empty(f.shape, order="F"))
+        sensitivity[i : i + rows] = h * (deg * partial[-1] + m * tc / eps * weighted.sum(axis=0))
 
     eps = 1.0 - t
     P_t = _euler_poly(alpha, beta, t)
@@ -237,7 +242,17 @@ def _berezin_values(symbol, z):
     t = (flat * flat.conjugate()).real
     if np.any(t >= 1.0):
         raise BoundaryError("Berezin transform is defined inside the disk")
-    value, err = symbol.base.berezin(symbol.alpha, symbol.beta, flat, t)
+    alpha, beta = symbol.alpha, symbol.beta
+    S, bar = symbol.base.berezin(alpha, beta, flat, t)
+    prefactor = _prefactor(alpha, beta, flat, t)
+    value = prefactor * S
+    # Higham's gamma_n, a complex product counted as gamma_3: the factorials,
+    # alpha + beta; the monomial, 3 per power (t's own gamma_2 in
+    # t^min(alpha, beta)); the prefactor's products and (1 - t)^2, 6; its
+    # product with S, 3.  The rounding of t = |z|^2 moves (1 - t)^2 by
+    # 2 eps/(1 - t) relative
+    relative = _gamma(alpha + beta + 3 * max(alpha, beta) + 9) + 4.0 * _U / (1.0 - t)
+    err = np.abs(prefactor) * bar + relative * np.abs(value)
     return value.reshape(z.shape), err.reshape(z.shape)
 
 

@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .berezin import _euler_hyp2f1, _gamma, _ipow, _prefactor, _radial_power_S
+from .berezin import _euler_hyp2f1, _gamma, _ipow, _radial_power_S
 from .bergman import basis_deriv_coeff
 from .errors import UnsupportedSymbolError
 from .numutil import beta_integral, beta_rounding, check_integer
@@ -58,12 +58,6 @@ def _number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"measure fields must be JSON numbers, got {value!r}")
     return float(value)
-
-
-def _t_rounding(t: np.ndarray) -> np.ndarray:
-    """Relative error of the (1-t)^2 every kind's transform carries, from
-    the rounding of t = |z|^2: 2 eps/(1-t), one term for every bar."""
-    return 2.0 * _EPS / (1.0 - t)
 
 
 def _mass_bound(q: float, m: int, y_ulps: float) -> float:
@@ -270,9 +264,9 @@ class _Atom:
     - ``closed_trace(alpha, beta)``: (value, bound) of the pairing with
       the derivative kernel, the whole diagonal: the unit every entry
       shares (``_unit``) times the tail from n = 0, padded;
-    - ``berezin(alpha, beta, z, t)``: (values, error estimates) of the
-      transform at the 1-d array z, with t = |z|^2; the invariant integral
-      samples both and carries the estimates into its error;
+    - ``berezin(alpha, beta, z, t)``: (S, error estimates) at the 1-d array
+      z, with t = |z|^2: the kernel sum S of the transform, without the
+      prefactor that ``berezin._berezin_values`` applies with its rounding;
     - ``circle_rules(alpha, beta)``: the terms of the invariant integral
       of the transform as (c, atom, centre, degree), one per nonzero term
       (an atom gives itself with c = 1): on each circle |z| = r the atom's
@@ -367,12 +361,6 @@ class _Radial(_Atom):
         # the single band misses the diagonal unless alpha = beta
         return _diagonal_tail(self, alpha, alpha, dim) if alpha == beta else (0.0, 0.0)
 
-    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
-        prefactor = _prefactor(alpha, beta, z, t)
-        S, est = self._diagonal_sum(alpha, beta, t)
-        scale = np.abs(prefactor)
-        return prefactor * S, scale * est + (1e-15 + _t_rounding(t)) * scale * np.abs(S)
-
 
 @dataclass(frozen=True)
 class RadialPower(_Radial):
@@ -404,7 +392,7 @@ class RadialPower(_Radial):
         x, y = q + self.a + 1.0, self.s - m + 1.0
         return beta_rounding(x, y, _U * (abs(q + self.a) + x), _U * (abs(self.s - m) + y)) + 2.0 * _U
 
-    def _diagonal_sum(self, alpha, beta, t):
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         return _radial_power_S(alpha, beta, self.s, self.a, t)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
@@ -439,7 +427,7 @@ class CircleUniform(_Radial):
         # 1 - t0 carries t0's rounding, t0 u / (1 - t0), and its own
         return _mass_bound(q, m, 1.0 / (1.0 - self.r0**2))
 
-    def _diagonal_sum(self, alpha, beta, t):
+    def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
         # S = 2F1(alpha+2, beta+2; 1; y) in closed form, over (1-y)^(alpha+beta+3)
         y = t * self.r0 * self.r0
         S = _euler_hyp2f1(alpha, beta, y)
@@ -515,18 +503,16 @@ class PointMass(_Atom):
         z0 = self.z0
         w = z.conjugate() * z0  # conj(w) is z conj(z0) up to a zero's sign, which 1 - conj(w) erases
         gap = 1.0 - w
-        value = _prefactor(alpha, beta, z, t) * _ipow(gap, -(2 + alpha)) * _ipow(1.0 - w.conjugate(), -(2 + beta))
+        S = _ipow(gap, -(2 + alpha)) * _ipow(1.0 - w.conjugate(), -(2 + beta))
         # each rounded product conj(z) z0 is within sqrt(2) gamma_2 |z||z0|
         # (Higham, Accuracy and Stability, §3.6, Lemma 3.5); it moves 1 - conj(z) z0
         # by that over |1 - conj(z) z0| relative; the powers amplify it 4+alpha+beta times
         conditioning = (4 + alpha + beta) * math.sqrt(2.0) * _gamma(2) * abs(z0) * np.sqrt(t) / np.abs(gap)
         # the rest as Higham's gamma_n, a complex product counted as gamma_3 and a
-        # reciprocal as gamma_6 (Lemma 3.5): the factorials, alpha + beta; the monomial,
-        # 3 per power (t's own gamma_2 in t^min(alpha, beta)); the prefactor's products
-        # and (1 - t)^2, 6; per gap its rounding and powers, 4 (2 + order), and the
-        # reciprocal, 6; the value's two products, 6
-        roundings = 5 * (alpha + beta) + 3 * max(alpha, beta) + 40
-        return value, (_gamma(roundings) + _t_rounding(t) + conditioning) * np.abs(value)
+        # reciprocal as gamma_6 (Lemma 3.5): per gap its rounding and powers,
+        # 4 (2 + order), and the reciprocal, 6; their product, 3
+        roundings = 4 * (alpha + beta) + 31
+        return S, (_gamma(roundings) + conditioning) * np.abs(S)
 
     def circle_rules(self, alpha: int, beta: int) -> tuple:
         # mapped around z0, with rho = r |z0|, 1 - z conj(z0) is (1 - rho^2)/(1 + rho w)
@@ -588,12 +574,12 @@ class CircleRadialDerivative(_Atom):
         return -1.0, 0.0
 
     def berezin(self, alpha: int, beta: int, z: np.ndarray, t: np.ndarray):
-        # minus d/dr at r0 of the angular average of |k_z|^2, (1-t)^2 (2/r0)
+        # minus d/dr at r0 of the angular average of |k_z|^2 over (1-t)^2: (2/r0)
         # times the sum over p >= 1 of p (p+1)^2 y^p, which is 2y (2+y) / (1-y)^4
         r0 = self.r0
         y = t * r0 * r0
-        value = -((1.0 - t) ** 2) * (2.0 / r0) * (2.0 * y * (2.0 + y) / (1.0 - y) ** 4)
-        return value, (_EPS * 16 / (1.0 - y) + _t_rounding(t)) * np.abs(value)
+        S = -(2.0 / r0) * (2.0 * y * (2.0 + y) / (1.0 - y) ** 4)
+        return S, _EPS * 16 / (1.0 - y) * np.abs(S)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
         # the absolute pairing with the weight: |d/dr (1-r^2)^(-order)| at r0

@@ -16,7 +16,6 @@ from bergtoep.berezin import (
     _circle_rule,
     _euler_hyp2f1,
     _ipow,
-    _prefactor,
     _radial_power_S,
     berezin_matrix,
     berezin_series,
@@ -448,6 +447,43 @@ def test_circle_derivative_closed_form_bar_holds_against_mpmath_nsum():
                     assert abs(sample.value - ref) <= sample.est_error, (r0, z)
 
 
+@pytest.mark.parametrize("kind", ["point_mass", "circle"])
+@pytest.mark.parametrize("gap", [1e-8, 1e-12, 1e-15])
+def test_bar_holds_where_two_terms_nearly_cancel(kind, gap):
+    # the prefactor's rounding is relative to the value, the prefactor
+    # times the combined sum, so it stays small where the terms cancel;
+    # each term's sum carries its own bar.  50 digits, at the exact binary
+    # value of each z and of each atom's parameter
+    import mpmath
+
+    if kind == "point_mass":
+        first, second = PointMass(cmath.rect(0.5, 0.7)), PointMass(cmath.rect(0.5, 0.7) + gap)
+    else:
+        first, second = CircleUniform(0.6), CircleUniform(0.6 + gap)
+    points = [cmath.rect(r, a) for r in (0.0, 0.3, 0.9, 0.99, 0.999, 0.9999) for a in (0.0, 0.7, 2.0)]
+    with mpmath.workdps(50):
+
+        def S(atom, alpha, beta, w, t):
+            if kind == "circle":
+                return mpmath.hyp2f1(alpha + 2, beta + 2, 1, t * mpmath.mpf(atom.r0) ** 2)
+            w0 = mpmath.mpc(atom.z0.real, atom.z0.imag)
+            return (1 - mpmath.conj(w) * w0) ** -(2 + alpha) * (1 - w * mpmath.conj(w0)) ** -(2 + beta)
+
+        for c in (1.0, 0.7 - 0.2j):
+            for alpha in range(4):
+                for beta in range(4):
+                    symbol = SymbolSpec(alpha, beta, Combination(((c, first), (-c, second))))
+                    values, bars = _berezin_values(symbol, np.array(points))
+                    sign = (-1) ** (alpha + beta) * math.factorial(alpha + 1) * math.factorial(beta + 1)
+                    for z, value, bar in zip(points, values, bars):
+                        w = mpmath.mpc(z.real, z.imag)
+                        t = w.real**2 + w.imag**2
+                        prefactor = sign * mpmath.conj(w) ** alpha * w**beta * (1 - t) ** 2
+                        cm = mpmath.mpc(c.real, c.imag)
+                        ref = prefactor * cm * (S(first, alpha, beta, w, t) - S(second, alpha, beta, w, t))
+                        assert abs(value - ref) <= bar, (c, alpha, beta, z)
+
+
 @pytest.mark.parametrize(
     "symbol",
     [
@@ -649,18 +685,32 @@ _BATCH_POINTS = np.array(
     [0.0, 0.3, -0.3, 0.3j, -0.5 + 0.2j, 0.899j, 0.9, 0.901, -0.7 - 0.6j, 0.6 + 0.7j, 0.95, 0.999j]
 )
 
+# the rule's abscissae in v = ln(t/(1-t)), and its radii sqrt(t)
+_RULE_V = -37.0 + 0.25 * np.arange(285)
+_RULE_RADII = np.sqrt(1.0 / (1.0 + np.exp(-_RULE_V)))
 
-@pytest.mark.parametrize("symbol", _BATCH_SYMBOLS)
-def test_array_sampler_matches_one_point_calls_bitwise(symbol):
-    values, errors = _berezin_values(symbol, _BATCH_POINTS)
-    assert values.shape == errors.shape == _BATCH_POINTS.shape
-    for k, z in enumerate(_BATCH_POINTS):
-        one_value, one_error = _berezin_values(symbol, _BATCH_POINTS[k : k + 1])
+
+@pytest.mark.parametrize(
+    "symbol, points",
+    [pytest.param(symbol, _BATCH_POINTS, id=f"symbol{k}") for k, symbol in enumerate(_BATCH_SYMBOLS)]
+    # the invariant integral's 285 radii in one batch: a wide batch must
+    # not change the order in which any point's radial power sums add up
+    + [
+        pytest.param(SymbolSpec(1, 1, RadialPower(s=4.0)), _RULE_RADII, id="radial-1-1-rule-radii"),
+        pytest.param(SymbolSpec(0, 0, RadialPower(s=1.3)), _RULE_RADII, id="radial-0-0-rule-radii"),
+    ],
+)
+def test_array_sampler_matches_one_point_calls_bitwise(symbol, points):
+    values, errors = _berezin_values(symbol, points)
+    assert values.shape == errors.shape == points.shape
+    for k, z in enumerate(points):
+        one_value, one_error = _berezin_values(symbol, points[k : k + 1])
         assert one_value.tobytes() == values[k : k + 1].tobytes()
         assert one_error.tobytes() == errors[k : k + 1].tobytes()
-        sample = berezin_series(symbol, z)
-        assert sample.value == values[k] and sample.est_error == errors[k]
-    grid, grid_errors = _berezin_values(symbol, _BATCH_POINTS.reshape(3, 4))
+        if abs(z) <= 1.0 - BOUNDARY_MARGIN:
+            sample = berezin_series(symbol, z)
+            assert sample.value == values[k] and sample.est_error == errors[k]
+    grid, grid_errors = _berezin_values(symbol, points.reshape(3, -1))
     assert grid.tobytes() == values.tobytes() and grid_errors.tobytes() == errors.tobytes()
 
 
@@ -673,17 +723,8 @@ def test_point_mass_transform_forms_both_gaps_from_one_product_bitwise(z0):
     t = (z * z.conjugate()).real
     for alpha, beta in [(0, 0), (1, 0), (0, 1), (2, 1), (3, 3)]:
         value, _ = PointMass(z0).berezin(alpha, beta, z, t)
-        reference = (
-            _prefactor(alpha, beta, z, t)
-            * _ipow(1.0 - z.conjugate() * z0, -(2 + alpha))
-            * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
-        )
+        reference = _ipow(1.0 - z.conjugate() * z0, -(2 + alpha)) * _ipow(1.0 - z * z0.conjugate(), -(2 + beta))
         assert value.tobytes() == reference.tobytes(), (alpha, beta)
-
-
-# the rule's abscissae in v = ln(t/(1-t)), and its radii sqrt(t)
-_RULE_V = -37.0 + 0.25 * np.arange(285)
-_RULE_RADII = np.sqrt(1.0 / (1.0 + np.exp(-_RULE_V)))
 
 
 def _on_the_rule(f):
