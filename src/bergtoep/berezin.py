@@ -84,24 +84,28 @@ def _ipow(w: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _euler_poly(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
-    """P(y) = 2F1(-alpha-1, -beta-1; 1; y) elementwise, by Horner: a
+def _euler_coeffs(alpha: int, beta: int) -> list[float]:
+    """Coefficients, top first, of P(y) = 2F1(-alpha-1, -beta-1; 1; y): a
     polynomial of degree min(alpha, beta) + 1 whose coefficients
     (alpha+1)_k (beta+1)_k / (k!)^2 (falling factorials) are all positive,
     so nothing cancels for y >= 0."""
-    # in place: one array per batch, not one per Horner step
-    poly = np.zeros_like(y)
-    for k in range(min(alpha, beta) + 1, -1, -1):  # Horner, top coefficient first
-        coeff = falling_factorial(alpha + 1, k) * falling_factorial(beta + 1, k) / int_factorial(k) ** 2
-        poly *= y
-        poly += coeff
-    return poly
+    ks = range(min(alpha, beta) + 1, -1, -1)
+    return [falling_factorial(alpha + 1, k) * falling_factorial(beta + 1, k) / int_factorial(k) ** 2 for k in ks]
+
+
+def _euler_poly(coeffs: list[float], y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """P(y) elementwise by Horner from ``_euler_coeffs``, in the one array ``out`` (not ``y``)."""
+    out[...] = coeffs[0]
+    for coeff in coeffs[1:]:
+        out *= y
+        out += coeff
+    return out
 
 
 def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
     """2F1(alpha+2, beta+2; 1; y) for integer orders, elementwise on y < 1:
     (1-y)^-(alpha+beta+3) P(y) by Euler's transformation (DLMF 15.8.1)."""
-    poly = _euler_poly(alpha, beta, y)
+    poly = _euler_poly(_euler_coeffs(alpha, beta), y, np.empty_like(y))
     denom = 1.0 - y
     denom **= alpha + beta + 3
     poly /= denom
@@ -172,30 +176,34 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
     e = np.exp(k * h)[:, None]
     one_e = 1.0 + e
     r1 = (e / one_e) ** (s + 1.0)
+    coeffs = _euler_coeffs(alpha, beta)
 
-    S = np.empty(t.size)
-    partials = np.empty(t.size)
-    sensitivity = np.empty(t.size)
+    S, partials, sensitivity = np.empty((3, t.size))
+    buffers = np.empty((4, k.size * min(rows, t.size)))  # reused by every chunk, as contiguous views
     for i in range(0, t.size, rows):
         tc = t[i : i + rows]
         eps = 1.0 - tc
-        r3 = 1.0 / (1.0 + eps * e)
-        f = r1 * (eps * one_e * r3) ** p
-        f *= r3 ** (a + 1.0)
-        f *= _euler_poly(alpha, beta, tc * r3)
+        r3, f, work = (b[: k.size * tc.size].reshape(k.size, tc.size) for b in buffers[:3])
+        # in place, r3 = 1/(1 + eps e) and f = r1 (eps (1 + e) r3)^p r3^(a+1) P(t r3), each operation as written
+        np.divide(1.0, np.add(1.0, np.multiply(eps, e, out=r3), out=r3), out=r3)
+        np.multiply(np.multiply(eps, one_e, out=f), r3, out=f)
+        f **= p
+        f *= r1
+        f *= np.power(r3, a + 1.0, out=work)
+        f *= _euler_poly(coeffs, np.multiply(tc, r3, out=work), out=r3)
         # from the far end of the slow e^(-(a+1) v) tail, so that the
         # partial sums, whose total bounds the sum's rounding, stay small there
-        partial = np.cumsum(f[::-1], axis=0)
+        partial = np.cumsum(f[::-1], axis=0, out=work)
         S[i : i + rows] = h * partial[-1]
-        partials[i : i + rows] = h * np.cumsum(partial, axis=0)[-1]
+        partials[i : i + rows] = h * np.cumsum(partial, axis=0, out=r3)[-1]
         # t S'(t) = h sum f (t x P'(t x)/P(t x) + m t x/(1 - t x)), where t x P'/P <= deg P
         # and t x/(1 - t x) = t/(eps (1 + e^v))
         # column-major, so that each column sums in one order whatever the batch width
-        weighted = np.divide(f, one_e, out=np.empty(f.shape, order="F"))
+        weighted = np.divide(f, one_e, out=buffers[3, : f.size].reshape(f.shape, order="F"))
         sensitivity[i : i + rows] = h * (deg * partial[-1] + m * tc / eps * weighted.sum(axis=0))
 
     eps = 1.0 - t
-    P_t = _euler_poly(alpha, beta, t)
+    P_t = _euler_poly(coeffs, t, np.empty_like(t))
     # v < v_lo: r1 < e^v, r2^p <= eps^p (1 + e^v_lo)^max(p, 0), r3 <= 1, P(t r3) <= P(t)
     v_lo, v_hi = first * h, last * h
     tail_lo = h * math.exp((s + 1.0) * v_lo) / math.expm1((s + 1.0) * h) * (1.0 + math.exp(v_lo)) ** max(p, 0.0)
@@ -343,10 +351,11 @@ def weighted_berezin_radial(f_spec: tuple[float, float], alpha: int, z: complex)
 
 
 # the invariant integral's trapezoid rule in v = ln(t/(1-t)): step 1/4 over
-# [-37, 34], 285 radii, where 1 - t falls to 1.7e-15; and the largest
+# [-37, 34], 285 radii, where 1 - t falls to 1.7e-15, and e^v; and the largest
 # circle-rule degree, so that one sampler call stays within 285 x 64 points
 _STEP = 0.25
 _V = -37.0 + _STEP * np.arange(285)
+_RADII, _E_V = np.sqrt(1.0 / (1.0 + np.exp(-_V))), np.exp(_V)
 _MAX_DEGREE = 63
 
 
@@ -444,15 +453,16 @@ def invariant_integral(
     if not 0.0 < decay < math.inf:  # NaN fails every comparison
         raise ValueError(f"boundary decay rate must be finite and positive, got {decay}")
     n = 1 << degree.bit_length()
-    z, weights = _circle_rule(np.sqrt(1.0 / (1.0 + np.exp(-_V))), centre, n, np.arange(n))
+    z, weights = _circle_rule(_RADII, centre, n, np.arange(n))
     values, errors = sampler(z)
     values = np.broadcast_to(np.asarray(values, dtype=complex), z.shape)
     errors = np.broadcast_to(np.asarray(errors, dtype=float), z.shape)
     if weights is not None:
         values, errors = weights * values, weights * errors
-    e_v = np.exp(_V) / n
+    e_v = _E_V / n
     f, bars = values.sum(axis=1) * e_v, errors.sum(axis=1) * e_v
-    rule = lambda terms, step: step * complex(math.fsum(terms.real), math.fsum(terms.imag))
+    # fsum over Python floats: over an ndarray it boxes every element first
+    rule = lambda terms, step: step * complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
     value = rule(f, _STEP)
     # the rule on |weight * value|: each term errs by at most gamma_(n+11)
     # of its share of this mass, from the mapped weight (9) and its product,

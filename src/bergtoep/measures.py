@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -178,7 +179,7 @@ class _Band:
 
     def trace(self) -> complex:
         # only a zero-offset band meets the diagonal
-        return complex(math.fsum(self.values)) if self.offset == 0 else 0.0 + 0.0j
+        return complex(math.fsum(self.values.tolist())) if self.offset == 0 else 0.0 + 0.0j
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +222,7 @@ class _RankOne:
 
     def trace(self) -> complex:
         diagonal = self.row.conjugate() * self.col
-        return self.sign * complex(math.fsum(diagonal.real), math.fsum(diagonal.imag))
+        return self.sign * complex(math.fsum(diagonal.real.tolist()), math.fsum(diagonal.imag.tolist()))
 
 
 def _densify(factors: tuple, dim: int, combine: bool = False) -> np.ndarray:
@@ -480,11 +481,15 @@ class PointMass(_Atom):
         col = row if alpha == beta else vector(alpha)  # input side, index m
         return ((1.0, _RankOne(_sign(alpha, beta), row, col, alpha - beta)),)
 
-    def _pairing(self, coef: float, q: float, m: int) -> float:
-        # x = |z0|^2 and 1 - x each rounded once from the exact rational: a
-        # rounded x would move the pairing by u (q + m x/(1-x)) relative
+    @cached_property
+    def _gap(self) -> tuple[float, float]:
+        # (x, 1 - x), x = |z0|^2, each rounded once from the exact rational, on first
+        # use: a rounded x would move a pairing by u (q + m x/(1-x)) relative
         x = Fraction(self.z0.real) ** 2 + Fraction(self.z0.imag) ** 2
-        return coef * float(x) ** q * float(1 - x) ** (-m)
+        return float(x), float(1 - x)
+
+    def _pairing(self, coef: float, q: float, m: int) -> float:
+        return coef * self._gap[0] ** q * self._gap[1] ** (-m)
 
     def _pairing_bound(self, q: float, m: int) -> float:
         return _mass_bound(q, m, 1.0)
@@ -524,7 +529,7 @@ class PointMass(_Atom):
         return ((1.0, self, self.z0, 1 + max(alpha, beta)),)
 
     def boundary_weight(self, order: int) -> tuple[float, float]:
-        return (1.0 - abs(self.z0) ** 2) ** (-order), math.inf
+        return self._pairing(1.0, 0, order), math.inf
 
 
 @dataclass(frozen=True)

@@ -698,6 +698,14 @@ _RULE_RADII = np.sqrt(1.0 / (1.0 + np.exp(-_RULE_V)))
     + [
         pytest.param(SymbolSpec(1, 1, RadialPower(s=4.0)), _RULE_RADII, id="radial-1-1-rule-radii"),
         pytest.param(SymbolSpec(0, 0, RadialPower(s=1.3)), _RULE_RADII, id="radial-0-0-rule-radii"),
+        # 1044 nodes, so the 285 radii fill 41 chunks of the reused buffers
+        # and a partial last one
+        pytest.param(SymbolSpec(16, 16, RadialPower(s=40.0)), _RULE_RADII, id="radial-16-16-rule-radii"),
+        pytest.param(
+            SymbolSpec(2, 1, Combination(((1.0, PointMass(0.4 + 0.1j)), (0.5j, PointMass(-0.7j))))),
+            _BATCH_POINTS,
+            id="two-point-masses",
+        ),
     ],
 )
 def test_array_sampler_matches_one_point_calls_bitwise(symbol, points):

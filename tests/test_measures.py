@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -257,3 +258,20 @@ def test_boundary_weight_integral_odd_orders():
     assert report.finite
     oracle, _ = quad(lambda t: (1.0 - t) ** (2.5 - 3.0), 0.0, 1.0)
     assert report.value == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("r", [0.9, 0.999, 1.0 - 1e-5, 1.0 - 1e-7])
+def test_point_mass_boundary_weight_within_its_pairing_bound_of_mpmath(r):
+    # (1 - |z0|^2)^(-order) at 50 digits from the float z0's exact |z0|^2:
+    # 1 - |z0|^2 formed from the rounded |z0| would lose digits as it falls
+    import mpmath
+
+    with mpmath.workdps(50):
+        for theta in (0.0, 0.3, 1.1, 2.0, 2.9, 4.4):
+            mass = PointMass(cmath.rect(r, theta))
+            x = mpmath.mpf(mass.z0.real) ** 2 + mpmath.mpf(mass.z0.imag) ** 2
+            for order in range(2, 9):
+                value, exponent = mass.boundary_weight(order)
+                exact = (1 - x) ** -order
+                assert exponent == math.inf
+                assert abs(value - exact) <= mass._pairing_bound(0, order) * exact, (theta, order)

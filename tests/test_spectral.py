@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bergtoep import spectral
+from bergtoep import measures, spectral
 from bergtoep.cli import main, symbol_to_config
 from bergtoep.errors import NotTraceClassError, NumericalFailureError, UnsupportedSymbolError
 from bergtoep.measures import (
@@ -451,6 +451,29 @@ def test_trace_report_agrees_on_a_large_point_mass_trace():
     report = trace_report(SymbolSpec(2, 2, PointMass(0.95)), 256)
     assert report.agree
     assert abs(report.route_berezin - report.route_closed_form) <= 1e-12 * abs(report.route_closed_form)
+
+
+@pytest.mark.parametrize(
+    "base, conversions",
+    [
+        (PointMass(cmath.rect(0.4, 0.7)), 2),
+        (Combination(((1.0, PointMass(0.3j)), (0.3, PointMass(cmath.rect(0.4, 0.7))))), 4),
+    ],
+    ids=["point", "two-points"],
+)
+def test_point_mass_exact_radius_is_formed_once_per_instance(monkeypatch, base, conversions):
+    # every pairing of a mass (closed route, matrix tail, boundary weight)
+    # reads one exact |z0|^2, formed from its two float parts on first use
+    converted = []
+
+    def counting(value):
+        converted.append(value)
+        return Fraction(value)
+
+    monkeypatch.setattr(measures, "Fraction", counting)
+    report = trace_report(SymbolSpec(1, 1, base), 64)
+    assert report.agree
+    assert len(converted) == conversions
 
 
 def test_trace_berezin_gate():
