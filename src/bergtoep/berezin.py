@@ -114,7 +114,7 @@ def _euler_hyp2f1(alpha: int, beta: int, y: np.ndarray) -> np.ndarray:
 
 _LN2 = math.log(2.0)
 _LN_INV_U = -math.log(_U)
-# ln(1/(1-t)) for the largest float t < 1: the node range reaches it
+# ln(1/(1-t)) for the largest float t < 1, whose window is the widest
 _LN_INV_EPS_MIN = 53.0 * _LN2
 
 
@@ -140,19 +140,20 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
     Trefethen & Weideman (SIAM Rev. 56, 2014, Thm 5.1) the trapezoid rule
     of step h errs by at most 2 K S / (e^(2 pi d/h) - 1); with d = 2 pi/3
     (sec(d/2) = 2), h is the largest 2^-j that makes this at most u S.
-    The nodes k h span a range fixed by (alpha, beta, s, a) past which
-    both tails, bounded in closed form, fall below u S whatever t; more
-    than 2^16 nodes (s or a past several hundred) raise
-    NumericalFailureError.
+    The nodes k h start where the lower tail falls below u S whatever t and
+    end where t's upper tail does, v = above + ln(1/eps), the count rounded
+    up to a multiple of 32: a window of t alone.  Both tails are bounded in
+    closed form; over 2^16 nodes at the largest float t < 1 (s or a past
+    several hundred) raise NumericalFailureError.
 
     The estimate adds: u S for the rule; the two tails; the rounding of
     each node, c u relative from its operation count (exp and pow within
     one ulp, P by Horner); the rounding of the running sum, u per partial
     sum; and S's sensitivity to the rounding of t = |z|^2, gamma_2 t S'(t),
     its first order summed from the same nodes as
-    h sum f_k (deg P + m t x_k/(1 - t x_k)).  Each row sums its own nodes
-    in one fixed order, whatever else shares the batch; each distinct t is
-    summed once.
+    h sum f_k (deg P + m t x_k/(1 - t x_k)).  Each distinct t is one row of
+    a row-major tile, summed once along its contiguous nodes in one fixed
+    order, whatever else shares the batch.
     Returns (S, est) arrays.
     """
     t, where = np.unique(np.atleast_1d(np.asarray(t, dtype=float)), return_inverse=True)
@@ -166,50 +167,55 @@ def _radial_power_S(alpha: int, beta: int, s: float, a: float, t):
     # (P(1) = binom(m-1, alpha+1) by Vandermonde's identity), where e^v is finite
     below = min((_LN_INV_U + (s + a + 2.0 + deg + abs(p)) * _LN2) / (s + 1.0), 700.0)
     above = (_LN_INV_U + (s + a + 2.0 + abs(p)) * _LN2 + math.log(math.comb(m - 1, alpha + 1))) / (a + 1.0)
-    first, last = -math.ceil(below / h), math.ceil(min(above + _LN_INV_EPS_MIN, 700.0) / h)
-    if last - first + 1 > 2**16:
-        raise NumericalFailureError(
-            f"radial power transform at s={s}, a={a} needs {last - first + 1} trapezoid nodes, over 2^16"
-        )
-    rows = max(1, 2**13 // (last - first + 1))  # at most 64 kB per array, or one row
-    k = np.arange(first, last + 1)
-    e = np.exp(k * h)[:, None]
+    first = -math.ceil(below / h)
+    size = math.ceil(min(above + _LN_INV_EPS_MIN, 700.0) / h) - first + 1
+    if size > 2**16:
+        raise NumericalFailureError(f"radial power transform at s={s}, a={a} needs {size} trapezoid nodes, over 2^16")
+    eps = 1.0 - t
+    # t's window ends past above + ln(1/eps), where w = eps e^v > e^above
+    counts = np.ceil(np.minimum(above - np.log(eps), 700.0) / h) - first + 1
+    counts = np.minimum(np.ceil(counts / 32.0) * 32.0, size).astype(int)
+    k = np.arange(first, first + counts.max())
+    e = np.exp(k * h)
     one_e = 1.0 + e
     r1 = (e / one_e) ** (s + 1.0)
     coeffs = _euler_coeffs(alpha, beta)
 
+    # t is sorted, so rows of one node count come in runs; tiles of at most 2^13 floats or one row
+    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), t.size]
+    widths = [int(counts[lo]) for lo in bounds[:-1]]
+    runs = [(lo, hi, n, max(1, 2**13 // n)) for lo, hi, n in zip(bounds, bounds[1:], widths)]
+    buffers = np.empty((3, max(n * min(rows, hi - lo) for lo, hi, n, rows in runs)))
     S, partials, sensitivity = np.empty((3, t.size))
-    buffers = np.empty((4, k.size * min(rows, t.size)))  # reused by every chunk, as contiguous views
-    for i in range(0, t.size, rows):
-        tc = t[i : i + rows]
-        eps = 1.0 - tc
-        r3, f, work = (b[: k.size * tc.size].reshape(k.size, tc.size) for b in buffers[:3])
-        # in place, r3 = 1/(1 + eps e) and f = r1 (eps (1 + e) r3)^p r3^(a+1) P(t r3), each operation as written
-        np.divide(1.0, np.add(1.0, np.multiply(eps, e, out=r3), out=r3), out=r3)
-        np.multiply(np.multiply(eps, one_e, out=f), r3, out=f)
-        f **= p
-        f *= r1
-        f *= np.power(r3, a + 1.0, out=work)
-        f *= _euler_poly(coeffs, np.multiply(tc, r3, out=work), out=r3)
-        # from the far end of the slow e^(-(a+1) v) tail, so that the
-        # partial sums, whose total bounds the sum's rounding, stay small there
-        partial = np.cumsum(f[::-1], axis=0, out=work)
-        S[i : i + rows] = h * partial[-1]
-        partials[i : i + rows] = h * np.cumsum(partial, axis=0, out=r3)[-1]
-        # t S'(t) = h sum f (t x P'(t x)/P(t x) + m t x/(1 - t x)), where t x P'/P <= deg P
-        # and t x/(1 - t x) = t/(eps (1 + e^v))
-        # column-major, so that each column sums in one order whatever the batch width
-        weighted = np.divide(f, one_e, out=buffers[3, : f.size].reshape(f.shape, order="F"))
-        sensitivity[i : i + rows] = h * (deg * partial[-1] + m * tc / eps * weighted.sum(axis=0))
+    for lo, hi, n, rows in runs:
+        for i in range(lo, hi, rows):
+            tile = slice(i, min(i + rows, hi))
+            tc, ec = t[tile, None], eps[tile, None]
+            r3, f, work = (b[: n * tc.size].reshape(tc.size, n) for b in buffers)
+            # in place, r3 = 1/(1 + eps e) and f = r1 (eps (1 + e) r3)^p r3^(a+1) P(t r3), each operation as written
+            np.divide(1.0, np.add(1.0, np.multiply(ec, e[:n], out=r3), out=r3), out=r3)
+            np.multiply(np.multiply(ec, one_e[:n], out=f), r3, out=f)
+            f **= p
+            f *= r1[:n]
+            f *= np.power(r3, a + 1.0, out=work)
+            f *= _euler_poly(coeffs, np.multiply(tc, r3, out=work), out=r3)
+            # from the far end of the slow e^(-(a+1) v) tail, so that the
+            # partial sums, whose total bounds the sum's rounding, stay small there
+            partial = np.cumsum(f[:, ::-1], axis=1, out=work)
+            S[tile] = h * partial[:, -1]
+            partials[tile] = h * partial.sum(axis=1)
+            # t S'(t) = h sum f (t x P'(t x)/P(t x) + m t x/(1 - t x)), where t x P'/P <= deg P
+            # and t x/(1 - t x) = t/(eps (1 + e^v))
+            weighted = np.divide(f, one_e[:n], out=r3)
+            sensitivity[tile] = h * (deg * partial[:, -1] + m * tc[:, 0] / ec[:, 0] * weighted.sum(axis=1))
 
-    eps = 1.0 - t
     P_t = _euler_poly(coeffs, t, np.empty_like(t))
     # v < v_lo: r1 < e^v, r2^p <= eps^p (1 + e^v_lo)^max(p, 0), r3 <= 1, P(t r3) <= P(t)
-    v_lo, v_hi = first * h, last * h
+    v_lo = first * h
     tail_lo = h * math.exp((s + 1.0) * v_lo) / math.expm1((s + 1.0) * h) * (1.0 + math.exp(v_lo)) ** max(p, 0.0)
     tail_lo = tail_lo * eps**p * P_t
-    # v > v_hi: r1 <= 1, r2^p <= (1 + 1/w_hi)^max(-p, 0), r3^(a+1) < w^-(a+1)
-    w_hi = eps * math.exp(v_hi)
+    # v > v_hi, each t's last node: r1 <= 1, r2^p <= (1 + 1/w_hi)^max(-p, 0), r3^(a+1) < w^-(a+1)
+    w_hi = eps * np.exp((first + counts - 1) * h)
     tail_hi = h * w_hi ** -(a + 1.0) / math.expm1((a + 1.0) * h) * (1.0 + 1.0 / w_hi) ** max(-p, 0.0) * P_t
     tails = tail_lo + tail_hi
     # per node: r1 6u, 1 - t u, r3 6u, r2 12u, then each pow adds one ulp
@@ -461,8 +467,10 @@ def invariant_integral(
         values, errors = weights * values, weights * errors
     e_v = _E_V / n
     f, bars = values.sum(axis=1) * e_v, errors.sum(axis=1) * e_v
-    # fsum over Python floats: over an ndarray it boxes every element first
-    rule = lambda terms, step: step * complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    # fsum over Python floats: over an ndarray it boxes every element first; from
+    # the v = 34 end, in which order these terms sum about twice as fast, and fsum
+    # is correctly rounded, so the order cannot change the sum
+    rule = lambda terms, step: step * complex(*(math.fsum(part[::-1].tolist()) for part in (terms.real, terms.imag)))
     value = rule(f, _STEP)
     # the rule on |weight * value|: each term errs by at most gamma_(n+11)
     # of its share of this mass, from the mapped weight (9) and its product,

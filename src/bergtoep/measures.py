@@ -571,9 +571,14 @@ class CircleRadialDerivative(_Atom):
     def factors(self, alpha: int, beta: int, dim: int) -> tuple:
         return ((1.0, _Band(0, self._diagonal(np.arange(dim)))),)
 
+    @cached_property
+    def _mass(self) -> PointMass:
+        # the unit mass at r0, built on first use, so its exact radius is formed once
+        return PointMass(self.r0)
+
     def _tail(self, alpha: int, beta: int, dim: int) -> tuple[float, float]:
         # |diagonal| (n+1) 2n r0^(2n-1) is twice the point-mass (1, 0) one at |z0| = r0
-        return tuple(2.0 * v for v in PointMass(self.r0)._tail(1, 0, dim))
+        return tuple(2.0 * v for v in self._mass._tail(1, 0, dim))
 
     def _unit(self, alpha: int, beta: int) -> tuple[complex, float]:
         return -1.0, 0.0

@@ -698,8 +698,11 @@ _RULE_RADII = np.sqrt(1.0 / (1.0 + np.exp(-_RULE_V)))
     + [
         pytest.param(SymbolSpec(1, 1, RadialPower(s=4.0)), _RULE_RADII, id="radial-1-1-rule-radii"),
         pytest.param(SymbolSpec(0, 0, RadialPower(s=1.3)), _RULE_RADII, id="radial-0-0-rule-radii"),
-        # 1044 nodes, so the 285 radii fill 41 chunks of the reused buffers
-        # and a partial last one
+        # a fractional a: neighbouring radii fall in different node windows
+        # here as in the two above (test_rule_radii_cross_node_windows_and_tiles)
+        pytest.param(SymbolSpec(2, 1, RadialPower(s=3.0, a=0.5)), _RULE_RADII, id="radial-2-1-rule-radii"),
+        # windows of 768 to 1024 nodes: the 157 radii of the first fill
+        # sixteen tiles of the reused buffers, the last one partial
         pytest.param(SymbolSpec(16, 16, RadialPower(s=40.0)), _RULE_RADII, id="radial-16-16-rule-radii"),
         pytest.param(
             SymbolSpec(2, 1, Combination(((1.0, PointMass(0.4 + 0.1j)), (0.5j, PointMass(-0.7j))))),
@@ -720,6 +723,83 @@ def test_array_sampler_matches_one_point_calls_bitwise(symbol, points):
             assert sample.value == values[k] and sample.est_error == errors[k]
     grid, grid_errors = _berezin_values(symbol, points.reshape(3, -1))
     assert grid.tobytes() == values.tobytes() and grid_errors.tobytes() == errors.tobytes()
+
+
+def _tile_shapes(params, t):
+    """(rows, nodes) of each tile that one ``_radial_power_S`` call at the
+    array ``t`` sums: the shape of every 2-d array it hands np.cumsum."""
+    shapes, cumsum = [], np.cumsum
+
+    def recording(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            shapes.append(a.shape)
+        return cumsum(a, *args, **kwargs)
+
+    np.cumsum = recording
+    try:
+        _radial_power_S(*params, t)
+    finally:
+        np.cumsum = cumsum
+    return shapes
+
+
+def test_rule_radii_cross_node_windows_and_tiles():
+    # the 285-radius batches of the test above: each t has its own node
+    # window, so the rule radii span several, and one window's rows may
+    # fill several tiles of at most 2^13 floats
+    for params in ((1, 1, 4.0, 0.0), (0, 0, 1.3, 0.0), (2, 1, 3.0, 0.5)):
+        shapes = _tile_shapes(params, _RULE_RADII**2)
+        assert len({n for _, n in shapes}) >= 4, params
+        assert all(rows * n <= 2**13 for rows, n in shapes), params
+    widths = [n for _, n in _tile_shapes((16, 16, 40.0, 0.0), _RULE_RADII**2)]
+    assert max(widths.count(n) for n in widths) >= 16
+
+
+def _window_steps(params):
+    """Pairs of adjacent floats t < t' where one-point calls change node
+    window, found by bisection on a grid in ln(1/(1-t)) up to the largest
+    float below 1."""
+    width = lambda t: _tile_shapes(params, np.array([t]))[0][1]
+    grid = np.append(-np.expm1(-np.arange(0.0, 36.5, 0.5)), 1.0 - 2.0**-53)
+    steps = []
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        if width(lo) == width(hi):
+            continue
+        while np.nextafter(lo, 1.0) < hi:
+            mid = lo + (hi - lo) / 2.0
+            lo, hi = (mid, hi) if width(mid) == width(lo) else (lo, mid)
+        steps.append((lo, hi))
+    return steps
+
+
+@pytest.mark.parametrize("params", [(1, 1, 4.0, 0.0), (0, 0, 1.3, 0.0), (2, 1, 3.0, 0.5), (1, 0, 3.3, 2.3)])
+def test_radial_power_S_bar_holds_on_both_sides_of_each_window_step(params):
+    # each t's last node is set by its own upper tail bound, so the bar
+    # rests on that bound at t just short of a step, where the window is
+    # shortest for its t (at a = 2.3 the window ends closest to the bulk);
+    # 50 digits at every step up to t = 1 - 1e-12 and there (the Euler form
+    # of the reference past t = 0.9 at fractional a)
+    import mpmath
+
+    steps = [pair for pair in _window_steps(params) if pair[1] <= 1.0 - 1e-12]
+    assert len(steps) >= 3
+    with mpmath.workdps(50):
+        for t in [x for pair in steps for x in pair] + [1.0 - 1e-12]:
+            S, est = _radial_power_S(*params, t)
+            ref = _radial_power_S_reference(*params, t, euler=params[3] != int(params[3]) and t > 0.9)
+            assert abs(S[0] - ref) <= est[0], t
+
+
+def test_radial_power_scratch_stays_under_a_megabyte():
+    # three buffers of at most 2^13 floats serve every tile, so the widest
+    # batch of the trace route at the deepest order in the tests stays small
+    tracemalloc.start()
+    try:
+        _radial_power_S(16, 16, 40.0, 0.0, _RULE_RADII**2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("z0", [0.5, -0.5, 0.5j, complex(0.5, -0.0), 0.2 + 0.2j, cmath.rect(0.9999, 0.7)])

@@ -476,6 +476,21 @@ def test_point_mass_exact_radius_is_formed_once_per_instance(monkeypatch, base, 
     assert len(converted) == conversions
 
 
+def test_circle_derivative_forms_its_mass_radius_once(monkeypatch):
+    # the closed route and the matrix tail both pair the unit mass at r0,
+    # one instance held by the distribution, so r0 converts once: 2 floats
+    converted = []
+
+    def counting(value):
+        converted.append(value)
+        return Fraction(value)
+
+    monkeypatch.setattr(measures, "Fraction", counting)
+    report = trace_report(SymbolSpec(0, 0, CircleRadialDerivative(0.5)), 64)
+    assert report.agree
+    assert len(converted) == 2
+
+
 def test_trace_berezin_gate():
     with pytest.raises(NotTraceClassError):
         trace_berezin(SymbolSpec(1, 1, RadialPower(s=2.0)))
